@@ -1,45 +1,41 @@
-"""Integer box scans: the hot loop behind every lattice-point count.
+"""Integer lattice scans: the hot loop behind every lattice-point count.
 
-A scan enumerates the integer points of a box [lo, hi] and keeps those
-satisfying q_i * <x, u_i> <= p_i (strictly, when requested) for every facet
-(u_i, p_i/q_i).  Everything is integer arithmetic, so the accelerated paths
-are exact as long as they cannot overflow int64; a conservative bound check
-routes anything risky to the big-integer Python path.
+A scan finds the integer points x of a box [lo, hi] with q_i * <x, u_i> <= p_i
+(strictly, when requested) for every facet (u_i, p_i/q_i).  It enumerates
+only the first d-1 box coordinates.  Over each such prefix x' the facets cut
+the last axis down to one interval, the fiber, solved exactly by floor
+division, with c_i the last entry of u_i and u_i' the others:
 
-Backends:
-  * "numba"  - @njit kernels (default when numba imports),
-  * "numpy"  - chunked vectorized fallback,
-  * "python" - pure-Python big ints, always exact.
+    R_i = p_i - q_i * <u_i', x'>      (p_i - 1 for a strict scan)
+    q_i c_i > 0:  x_d <= R_i // (q_i c_i)
+    q_i c_i < 0:  x_d >= -(R_i // -(q_i c_i))
+    c_i = 0:      the prefix is kept only when R_i >= 0
 
-Select explicitly with the env flag REFLEX_SCAN=numba|numpy|python.  Points
-are always produced in lexicographic order, identically on every backend.
+A count sums the fiber lengths; a collect emits each fiber as one run, so
+points come out in lexicographic order.  The one algorithm runs at two
+integer widths, the backends:
+
+  * "numpy"  - int64 arrays, the default;
+  * "python" - arrays of Python big ints, always exact.
+
+A conservative bound check (``_int64_safe``) routes any scan that could
+overflow int64 to the python width.  Select explicitly with the env flag
+REFLEX_SCAN=numpy|python.  The enumeration budget that callers apply
+(``polytope.enumeration_budget``) still counts box points, not fibers.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import os
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-
 _INT64_LIMIT = 2**62
-_CHUNK = 1 << 17
+_CHUNK = 1 << 17  # box points per chunk of prefixes, bounding transient memory
+_DTYPES = {"numpy": np.int64, "python": object}
 
 
 def _split_offsets(offsets: Sequence[Fraction]) -> tuple[list[int], list[int]]:
@@ -61,10 +57,23 @@ def _box_volume(lo: Sequence[int], hi: Sequence[int]) -> int:
 
 
 def _int64_safe(lo, hi, normals, nums, dens) -> bool:
+    """Whether the fiber solve of this scan stays inside int64.
+
+    Let B_i = q_i * sum_j |c_ij| * max(|lo_j|, |hi_j|, 1).  The 1 matters on
+    an axis fixed at [0, 0]: without it B_i would not bound q_i * c_ij, and
+    the last-axis product q_i * c_id is the divisor of the fiber solve.  With
+    B_i < 2**62, every q_i * c_ij * x_j, every partial dot product and every
+    q_i * c_ij is at most B_i in size; with |p_i| < 2**62 as well,
+    |R_i| <= |p_i| + 1 + B_i <= 2**63 - 1, and no floor quotient exceeds |R_i|.
+    Coordinates and the box volume below 2**62 keep fiber ends, run starts
+    and counts in range.
+    """
     if _box_volume(lo, hi) >= _INT64_LIMIT:
         return False
+    if any(max(abs(a), abs(b)) >= _INT64_LIMIT for a, b in zip(lo, hi)):
+        return False
     for row, p, q in zip(normals, nums, dens):
-        bound = q * sum(abs(c) * max(abs(a), abs(b)) for c, a, b in zip(row, lo, hi))
+        bound = q * sum(abs(c) * max(abs(a), abs(b), 1) for c, a, b in zip(row, lo, hi))
         if bound >= _INT64_LIMIT or abs(p) >= _INT64_LIMIT:
             return False
     return True
@@ -73,17 +82,11 @@ def _int64_safe(lo, hi, normals, nums, dens) -> bool:
 def resolve_backend(lo, hi, normals, nums, dens) -> str:
     """Pick the backend for this scan, honoring REFLEX_SCAN and exactness."""
     choice = os.environ.get("REFLEX_SCAN", "").strip().lower()
-    if choice not in ("", "auto", "numba", "numpy", "python"):
-        raise ValueError(f"REFLEX_SCAN must be numba|numpy|python, got {choice!r}")
-    if choice == "python":
+    if choice not in ("", "auto", "numpy", "python"):
+        raise ValueError(f"REFLEX_SCAN must be numpy|python, got {choice!r}")
+    if choice == "python" or not _int64_safe(lo, hi, normals, nums, dens):
         return "python"
-    if not _int64_safe(lo, hi, normals, nums, dens):
-        return "python"
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        return "numba" if HAVE_NUMBA else "numpy"
-    return "numba" if HAVE_NUMBA else "numpy"
+    return "numpy"
 
 
 def default_backend_name() -> str:
@@ -92,191 +95,88 @@ def default_backend_name() -> str:
     return resolve_backend((), (), (), (), ())
 
 
-# -- numba kernels -----------------------------------------------------------
+# -- the fiber algorithm -----------------------------------------------------
 
 
-@njit(cache=True)
-def _count_njit(lo, wid, normals, pnum, qden, strict):  # pragma: no cover - jitted
-    d = lo.shape[0]
-    m = normals.shape[0]
-    total = np.int64(1)
-    for j in range(d):
-        total *= wid[j]
-    count = 0
-    x = np.empty(d, np.int64)
-    for lin in range(total):
-        t = lin
-        for j in range(d - 1, -1, -1):
-            x[j] = lo[j] + t % wid[j]
-            t //= wid[j]
-        ok = True
-        for i in range(m):
-            s = np.int64(0)
-            for j in range(d):
-                s += normals[i, j] * x[j]
-            s *= qden[i]
-            if strict:
-                if s >= pnum[i]:
-                    ok = False
-                    break
-            else:
-                if s > pnum[i]:
-                    ok = False
-                    break
-        if ok:
-            count += 1
-    return count
+def _fibers(lo, hi, normals, nums, dens, strict, dtype):
+    """Yield (prefixes, first, last) for each chunk of box prefixes, in C
+    order: the prefixes whose fiber is non-empty, with its last-axis ends."""
+    if _box_volume(lo, hi) == 0:
+        return
+    d = len(lo)
+    A = np.array(normals, dtype=dtype).reshape(len(normals), d)
+    q = np.array(dens, dtype=dtype)
+    p = np.array(nums, dtype=dtype) - int(strict)
+    qc = q * A[:, -1]
+    qA = A[:, :-1] * q[:, None]
+    up, down, flat = qc > 0, qc < 0, qc == 0
+    wid = [b - a + 1 for a, b in zip(lo, hi)]
+    n_prefix = math.prod(wid[:-1])
+    step = max(1, _CHUNK // wid[-1])
+    for start in range(0, n_prefix, step):
+        t = np.arange(start, min(start + step, n_prefix), dtype=dtype)
+        x = np.empty((len(t), d - 1), dtype=dtype)
+        for j in range(d - 2, -1, -1):
+            x[:, j] = lo[j] + t % wid[j]
+            t = t // wid[j]
+        R = p - x @ qA.T
+        first = np.max(-(R[:, down] // -qc[down]), axis=1, initial=lo[-1])
+        last = np.min(R[:, up] // qc[up], axis=1, initial=hi[-1])
+        keep = (first <= last) & (R[:, flat] >= 0).all(axis=1)
+        yield x[keep], first[keep], last[keep]
 
 
-@njit(cache=True)
-def _fill_njit(lo, wid, normals, pnum, qden, strict, out):  # pragma: no cover
-    d = lo.shape[0]
-    m = normals.shape[0]
-    total = np.int64(1)
-    for j in range(d):
-        total *= wid[j]
-    k = 0
-    x = np.empty(d, np.int64)
-    for lin in range(total):
-        t = lin
-        for j in range(d - 1, -1, -1):
-            x[j] = lo[j] + t % wid[j]
-            t //= wid[j]
-        ok = True
-        for i in range(m):
-            s = np.int64(0)
-            for j in range(d):
-                s += normals[i, j] * x[j]
-            s *= qden[i]
-            if strict:
-                if s >= pnum[i]:
-                    ok = False
-                    break
-            else:
-                if s > pnum[i]:
-                    ok = False
-                    break
-        if ok:
-            for j in range(d):
-                out[k, j] = x[j]
-            k += 1
-    return k
+def _count(lo, hi, normals, nums, dens, strict, dtype) -> int:
+    return sum(
+        int((last - first).sum()) + len(first)
+        for _, first, last in _fibers(lo, hi, normals, nums, dens, strict, dtype)
+    )
 
 
-# -- numpy backend -----------------------------------------------------------
-
-
-def _numpy_chunks(lo, hi, normals, nums, dens, strict):
-    lo_a = np.asarray(lo, dtype=np.int64)
-    wid = np.asarray([b - a + 1 for a, b in zip(lo, hi)], dtype=np.int64)
-    total = _box_volume(lo, hi)
-    A = np.asarray(normals, dtype=np.int64).reshape(len(normals), len(lo))
-    p = np.asarray(nums, dtype=np.int64)
-    q = np.asarray(dens, dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        coords = np.stack(np.unravel_index(idx, tuple(int(w) for w in wid)), axis=1)
-        coords += lo_a
-        lhs = (coords @ A.T) * q
-        ok = (lhs < p) if strict else (lhs <= p)
-        yield coords[ok.all(axis=1)]
-
-
-def _count_numpy(lo, hi, normals, nums, dens, strict) -> int:
-    return sum(len(c) for c in _numpy_chunks(lo, hi, normals, nums, dens, strict))
-
-
-def _collect_numpy(lo, hi, normals, nums, dens, strict) -> list[tuple[int, ...]]:
+def _collect(lo, hi, normals, nums, dens, strict, dtype) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
-    for c in _numpy_chunks(lo, hi, normals, nums, dens, strict):
-        out.extend(tuple(int(v) for v in row) for row in c)
+    for x, first, last in _fibers(lo, hi, normals, nums, dens, strict, dtype):
+        n = (last - first + 1).astype(np.int64)
+        pts = np.empty((int(n.sum()), len(lo)), dtype=dtype)
+        pts[:, :-1] = np.repeat(x, n, axis=0)
+        # point k of the chunk lies in run r: x_d = first_r + k - (run r's offset)
+        pts[:, -1] = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(len(pts))
+        out.extend(map(tuple, pts.tolist()))
     return out
-
-
-# -- python backend ----------------------------------------------------------
-
-
-def _member(x, normals, nums, dens, strict) -> bool:
-    for row, p, q in zip(normals, nums, dens):
-        s = q * sum(c * xi for c, xi in zip(row, x))
-        if strict:
-            if s >= p:
-                return False
-        elif s > p:
-            return False
-    return True
-
-
-def _iter_python(lo, hi, normals, nums, dens, strict):
-    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    for x in itertools.product(*ranges):
-        if _member(x, normals, nums, dens, strict):
-            yield x
 
 
 # -- public entry points -----------------------------------------------------
 
 
-def backend_count(name, lo, hi, normals, offsets, strict=False) -> int:
-    """Count scan on an explicitly named backend (used by tests/benchmarks)."""
-    nums, dens = _split_offsets(offsets)
-    if _box_volume(lo, hi) == 0:
-        return 0
-    if name == "python":
-        return sum(1 for _ in _iter_python(lo, hi, normals, nums, dens, strict))
-    if not _int64_safe(lo, hi, normals, nums, dens):
+def _named_dtype(name, lo, hi, normals, nums, dens):
+    if name not in _DTYPES:
+        raise ValueError(f"unknown backend {name!r}")
+    if name == "numpy" and not _int64_safe(lo, hi, normals, nums, dens):
         raise OverflowError("scan does not fit int64; use the python backend")
-    if name == "numpy":
-        return _count_numpy(lo, hi, normals, nums, dens, strict)
-    if name == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba is not available")
-        return int(
-            _count_njit(
-                np.asarray(lo, dtype=np.int64),
-                np.asarray([b - a + 1 for a, b in zip(lo, hi)], dtype=np.int64),
-                np.asarray(normals, dtype=np.int64).reshape(len(normals), len(lo)),
-                np.asarray(nums, dtype=np.int64),
-                np.asarray(dens, dtype=np.int64),
-                bool(strict),
-            )
-        )
-    raise ValueError(f"unknown backend {name!r}")
+    return _DTYPES[name]
+
+
+def backend_count(name, lo, hi, normals, offsets, strict=False) -> int:
+    """Count scan on an explicitly named backend (used by tests)."""
+    nums, dens = _split_offsets(offsets)
+    dtype = _named_dtype(name, lo, hi, normals, nums, dens)
+    return _count(lo, hi, normals, nums, dens, strict, dtype)
 
 
 def backend_collect(name, lo, hi, normals, offsets, strict=False) -> list[tuple[int, ...]]:
     """Point-collecting scan on an explicitly named backend (lex order)."""
     nums, dens = _split_offsets(offsets)
-    if _box_volume(lo, hi) == 0:
-        return []
-    if name == "python":
-        return list(_iter_python(lo, hi, normals, nums, dens, strict))
-    if not _int64_safe(lo, hi, normals, nums, dens):
-        raise OverflowError("scan does not fit int64; use the python backend")
-    if name == "numpy":
-        return _collect_numpy(lo, hi, normals, nums, dens, strict)
-    if name == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba is not available")
-        lo_a = np.asarray(lo, dtype=np.int64)
-        wid = np.asarray([b - a + 1 for a, b in zip(lo, hi)], dtype=np.int64)
-        A = np.asarray(normals, dtype=np.int64).reshape(len(normals), len(lo))
-        p = np.asarray(nums, dtype=np.int64)
-        q = np.asarray(dens, dtype=np.int64)
-        n = int(_count_njit(lo_a, wid, A, p, q, bool(strict)))
-        out = np.empty((n, len(lo)), dtype=np.int64)
-        _fill_njit(lo_a, wid, A, p, q, bool(strict), out)
-        return [tuple(int(v) for v in row) for row in out]
-    raise ValueError(f"unknown backend {name!r}")
+    dtype = _named_dtype(name, lo, hi, normals, nums, dens)
+    return _collect(lo, hi, normals, nums, dens, strict, dtype)
 
 
 def scan_count(lo, hi, normals, offsets, strict=False) -> int:
     nums, dens = _split_offsets(offsets)
-    name = resolve_backend(lo, hi, normals, nums, dens)
-    return backend_count(name, lo, hi, normals, offsets, strict)
+    dtype = _DTYPES[resolve_backend(lo, hi, normals, nums, dens)]
+    return _count(lo, hi, normals, nums, dens, strict, dtype)
 
 
 def scan_collect(lo, hi, normals, offsets, strict=False) -> list[tuple[int, ...]]:
     nums, dens = _split_offsets(offsets)
-    name = resolve_backend(lo, hi, normals, nums, dens)
-    return backend_collect(name, lo, hi, normals, offsets, strict)
+    dtype = _DTYPES[resolve_backend(lo, hi, normals, nums, dens)]
+    return _collect(lo, hi, normals, nums, dens, strict, dtype)

@@ -10,11 +10,12 @@ A polytope is stored with both descriptions at once:
 Canonical form makes equality of polytopes a structural comparison.  Only
 full-dimensional bounded sets are first-class; everything else raises.  All
 arithmetic is exact: conversions run Gaussian elimination over Fraction, and
-lattice-point scans reduce each facet test to integer comparisons (see
-``_scan`` for the accelerated backends).
+lattice-point scans solve each last-axis fiber of the bounding box by integer
+floor division (see ``_scan``).
 
-Supported desk scale is ambient dimension <= 4 with enumeration boxes up to
-the configurable budget (default 10^7 points, env var REFLEX_BUDGET).
+Supported desk scale is ambient dimension <= 4 with bounding boxes up to the
+configurable enumeration budget (default 10^7 box points, env var
+REFLEX_BUDGET).
 """
 
 from __future__ import annotations

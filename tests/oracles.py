@@ -37,6 +37,18 @@ def brute_count(poly, n=1, strict=False) -> int:
     return len(brute_lattice_points(poly, n, strict))
 
 
+def brute_scan(lo, hi, normals, offsets, strict=False) -> list[tuple[int, ...]]:
+    """Integer points x of the box [lo, hi] with <x, u> <= b (strictly, when
+    asked) for every normal u and offset b, by testing each box point."""
+    bounds = [(tuple(Fraction(c) for c in u), Fraction(b)) for u, b in zip(normals, offsets)]
+    found = []
+    for x in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+        vals = [(sum(c * xi for c, xi in zip(u, x)), b) for u, b in bounds]
+        if all(v < b if strict else v <= b for v, b in vals):
+            found.append(x)
+    return found
+
+
 def _order_convex_polygon(points, center=None):
     """Vertices of a convex polygon in counterclockwise order around an
     interior point, using exact cross-product comparisons (no angles)."""

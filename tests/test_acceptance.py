@@ -54,18 +54,6 @@ def criterion(name):
     print(f"\nACCEPTANCE {name}: PASS ({time.perf_counter() - start:.2f}s)")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_scan_kernels():
-    # pay the one-time jit compilation outside the timed criteria
-    p = from_hrep([((-1, 0), 1), ((0, -1), 1), ((1, 1), 1)], 2)
-    count(p, 1)
-    count_interior(p, 1)
-    from reflexpoly import lattice_points
-
-    lattice_points(p)
-    lattice_points(p, strict=True)
-
-
 @pytest.fixture(scope="module")
 def triangle_trio():
     def tri(a, b):

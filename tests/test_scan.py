@@ -1,19 +1,14 @@
-import importlib.util
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import brute_scan
 from reflexpoly import _scan
 from reflexpoly.polytope import count_lattice_points, lattice_points
 
-# python and numpy are always present; numba is an optional extra, so the
-# numba legs of the agreement tests live in companions that run only where
-# it is installed.
 BACKENDS = ("python", "numpy")
-needs_numba = pytest.mark.skipif(
-    importlib.util.find_spec("numba") is None, reason="numba is not installed"
-)
 
 CASES = [
     ((-5, -5), (5, 5), ((1, 1), (-1, 0), (0, -1)), (Fraction(1, 3), Fraction(1), Fraction(1))),
@@ -34,19 +29,7 @@ def test_backends_agree(case, strict):
     assert points["python"] == points["numpy"]
     assert counts["python"] == len(points["python"])
     assert points["python"] == sorted(points["python"])
-
-
-@needs_numba
-@pytest.mark.parametrize("strict", [False, True])
-@pytest.mark.parametrize("case", CASES, ids=range(len(CASES)))
-def test_numba_agrees(case, strict):
-    lo, hi, normals, offsets = case
-    assert _scan.backend_count("numba", lo, hi, normals, offsets, strict) == (
-        _scan.backend_count("python", lo, hi, normals, offsets, strict)
-    )
-    assert _scan.backend_collect("numba", lo, hi, normals, offsets, strict) == (
-        _scan.backend_collect("python", lo, hi, normals, offsets, strict)
-    )
+    assert points["python"] == brute_scan(lo, hi, normals, offsets, strict)
 
 
 random_scans = given(
@@ -82,13 +65,63 @@ def test_backends_agree_random(x0, wx, y0, wy, rows, strict):
     assert _scan.backend_collect("numpy", *scan, strict) == ref
 
 
-@needs_numba
-@settings(max_examples=60, deadline=None)
-@random_scans
-def test_numba_agrees_random(x0, wx, y0, wy, rows, strict):
-    scan = _random_scan(x0, wx, y0, wy, rows)
-    ref = _scan.backend_collect("python", *scan, strict)
-    assert _scan.backend_collect("numba", *scan, strict) == ref
+def _boundary_scan(draw_int):
+    """A random scan in 1-4 dimensions whose facets pass through lattice
+    points of the box, so strict and closed scans disagree often.
+
+    Each offset is <u, x0> for a box point x0, or p/q with q dividing an entry
+    of u.  A last-axis coefficient is often 0 and a last axis often has width
+    1, the cases where the fiber solve filters a prefix or has one point."""
+    d = draw_int(1, 4)
+    lo = [draw_int(-4, 3) for _ in range(d)]
+    hi = [a + draw_int(0, 5 - d if d > 1 else 6) for a in lo]
+    if draw_int(0, 3) == 0:
+        hi[-1] = lo[-1]
+    elif draw_int(0, 15) == 0:
+        hi[-1] = lo[-1] - 1  # empty box
+    normals, offsets = [], []
+    for _ in range(draw_int(0, 4)):
+        u = [draw_int(-3, 3) for _ in range(d)]
+        if draw_int(0, 3) == 0:
+            u[-1] = 0
+        entries = [abs(c) for c in u if c] or [1]
+        if draw_int(0, 1):
+            x0 = [draw_int(a, max(a, b)) for a, b in zip(lo, hi)]
+            offset = Fraction(sum(c * x for c, x in zip(u, x0)))
+        else:
+            e = entries[draw_int(0, len(entries) - 1)]
+            divisors = [k for k in range(1, e + 1) if e % k == 0]
+            offset = Fraction(draw_int(-12, 12), divisors[draw_int(0, len(divisors) - 1)])
+        normals.append(tuple(u))
+        offsets.append(offset)
+    return tuple(lo), tuple(hi), tuple(normals), tuple(offsets)
+
+
+@st.composite
+def boundary_scans(draw):
+    return _boundary_scan(lambda a, b: draw(st.integers(a, b)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_scans())
+def test_fiber_scan_matches_brute_force(scan):
+    for strict in (False, True):
+        ref = brute_scan(*scan, strict)
+        for b in BACKENDS:
+            assert _scan.backend_collect(b, *scan, strict) == ref
+            assert _scan.backend_count(b, *scan, strict) == len(ref)
+
+
+def test_boundary_scans_separate_strict_from_closed():
+    # the strategy above must keep putting lattice points on facets: a random
+    # sample of it has to contain many scans whose strict and closed counts
+    # differ, or the strict comparison goes untested
+    rng = random.Random(0)
+    scans = [_boundary_scan(rng.randint) for _ in range(200)]
+    differ = sum(
+        len(brute_scan(*scan, False)) != len(brute_scan(*scan, True)) for scan in scans
+    )
+    assert differ >= 50  # 64 of 200 at this seed
 
 
 def test_env_flag_selection(monkeypatch, reflexive_triangle=None):
@@ -96,8 +129,7 @@ def test_env_flag_selection(monkeypatch, reflexive_triangle=None):
 
     p = from_hrep([((-1, 0), 1), ((0, -1), 1), ((2, 3), 1)], 2)
     results, reported = {}, {}
-    # REFLEX_SCAN=numba falls back to numpy where numba does not import
-    for name in ("python", "numpy", "numba"):
+    for name in ("python", "numpy"):
         monkeypatch.setenv("REFLEX_SCAN", name)
         results[name] = (
             count_lattice_points(p),
@@ -105,18 +137,15 @@ def test_env_flag_selection(monkeypatch, reflexive_triangle=None):
         )
         reported[name] = _scan.default_backend_name()
     monkeypatch.delenv("REFLEX_SCAN")
-    assert results["python"] == results["numpy"] == results["numba"] == (7, ((0, 0),))
-    assert reported == {
-        "python": "python",
-        "numpy": "numpy",
-        "numba": "numba" if _scan.HAVE_NUMBA else "numpy",
-    }
+    assert results["python"] == results["numpy"] == (7, ((0, 0),))
+    assert reported == {"python": "python", "numpy": "numpy"}
 
 
 def test_env_flag_validation(monkeypatch):
-    monkeypatch.setenv("REFLEX_SCAN", "cuda")
-    with pytest.raises(ValueError):
-        _scan.scan_count((0,), (1,), ((1,),), (Fraction(1),))
+    for name in ("cuda", "numba"):
+        monkeypatch.setenv("REFLEX_SCAN", name)
+        with pytest.raises(ValueError, match="numpy[|]python"):
+            _scan.scan_count((0,), (1,), ((1,),), (Fraction(1),))
 
 
 def test_overflow_guard_falls_back_to_python():
@@ -135,11 +164,19 @@ def test_explicit_backend_refuses_unsafe_input():
         _scan.backend_count("numpy", (-10, -10), (10, 10), normals, offsets)
 
 
+def test_overflow_guard_bounds_the_fiber_divisor():
+    # the last axis is fixed at [0, 0], so the coordinates do not bound q*c_d,
+    # the divisor of the fiber solve: here it is 3 * 2**63 and must not wrap
+    lo, hi = (-3, 0), (3, 0)
+    normals = ((1, 3 * 2**40),)
+    offsets = (Fraction(-5, 2**23),)
+    nums, dens = _scan._split_offsets(offsets)
+    assert _scan.resolve_backend(lo, hi, normals, nums, dens) == "python"
+    assert _scan.scan_collect(lo, hi, normals, offsets) == [(-3, 0), (-2, 0), (-1, 0)]
+    with pytest.raises(OverflowError):
+        _scan.backend_collect("numpy", lo, hi, normals, offsets)
+
+
 def test_no_constraints_counts_box():
     for b in BACKENDS:
         assert _scan.backend_count(b, (0, 0), (2, 3), (), ()) == 12
-
-
-@needs_numba
-def test_numba_counts_unconstrained_box():
-    assert _scan.backend_count("numba", (0, 0), (2, 3), (), ()) == 12
