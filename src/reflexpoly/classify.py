@@ -8,11 +8,13 @@ with quasi-reflexive equivalent to (dual-integral and lattice).  Each of the
 translated notions admits two independent characterizations - the support
 values of the translated polytope, and the shape of the translated dual - and
 both are always computed; a disagreement aborts, turning the equivalence
-proofs into permanent self-tests.
+proofs into permanent self-tests.  Both come from one pass that collects the
+interior lattice points z once and translates and dualizes p - z once each.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import ehrhart
@@ -50,15 +52,6 @@ class ClassificationReport:
         }
 
 
-def _gcd_all(values) -> int:
-    from math import gcd
-
-    g = 0
-    for v in values:
-        g = gcd(g, abs(int(v)))
-    return g
-
-
 def is_lattice_polytope(p: Polytope) -> bool:
     """Every vertex coordinate is an integer."""
     return all(c.denominator == 1 for v in p.vrep for c in v)
@@ -71,7 +64,7 @@ def is_fano(p: Polytope) -> bool:
     for v in p.vrep:
         if any(c.denominator != 1 for c in v):
             return False
-        if _gcd_all(c.numerator for c in v) != 1:
+        if math.gcd(*(c.numerator for c in v)) != 1:
             return False
     return True
 
@@ -85,8 +78,41 @@ def is_reflexive(p: Polytope) -> bool:
     return is_lattice_polytope(polar_dual(p))
 
 
-def interior_lattice_anchor_candidates(p: Polytope, budget=None) -> LatticePointSet:
-    return lattice_points(p, strict=True, budget=budget)
+def _anchor_pass(p: Polytope, budget=None):
+    """Visit each interior lattice point z of p once, translating and
+    dualizing once.  Returns the interior points, the first z at which every
+    support value of p - z is 1/k with its k-list, and the direct tests:
+    whether some polar_dual(p - z) is Fano and some p - z is reflexive."""
+    interior = lattice_points(p, strict=True, budget=budget)
+    anchor = ks = None
+    fano_dual = reflexive = False
+    for z in interior.points:
+        shifted = translate(p, tuple(-c for c in z))
+        dual = polar_dual(shifted)
+        if anchor is None and all(h.offset.numerator == 1 for h in shifted.hrep):
+            anchor, ks = z, tuple(h.offset.denominator for h in shifted.hrep)
+        fano_dual = fano_dual or is_fano(dual)
+        reflexive = reflexive or (is_lattice_polytope(shifted) and is_lattice_polytope(dual))
+    return interior, anchor, ks, fano_dual, reflexive
+
+
+def _dual_fano(ks, via_dual: bool) -> bool:
+    via_offsets = ks is not None and all(k == 1 for k in ks)
+    if via_offsets != via_dual:
+        raise InternalInconsistency(
+            "support-value and dual-polytope characterizations of dual-Fano disagree",
+            via_offsets=via_offsets, via_dual=via_dual,
+        )
+    return via_offsets
+
+
+def _quasi_reflexive(composed: bool, direct: bool) -> bool:
+    if composed != direct:
+        raise InternalInconsistency(
+            "composed and direct quasi-reflexivity tests disagree",
+            composed=composed, direct=direct,
+        )
+    return composed
 
 
 def is_dual_integral(
@@ -95,66 +121,36 @@ def is_dual_integral(
     """Search interior lattice anchors z for which every support value of
     p - z is 1/k with a positive integer k.  Returns (flag, anchor, k-list);
     the k-list follows the canonical facet order."""
-    for z in interior_lattice_anchor_candidates(p, budget).points:
-        shifted = translate(p, tuple(-c for c in z))
-        ks = []
-        for h in shifted.hrep:
-            if h.offset.numerator != 1:
-                break
-            ks.append(h.offset.denominator)
-        else:
-            return True, z, tuple(ks)
-    return False, None, None
+    _, anchor, ks, _, _ = _anchor_pass(p, budget)
+    return anchor is not None, anchor, ks
 
 
 def is_dual_fano(p: Polytope, budget=None) -> bool:
     """Dual-integral with every facet integer 1; cross-checked against the
     direct definition (the translated dual is a Fano polytope)."""
-    flag, _, ks = is_dual_integral(p, budget)
-    via_offsets = flag and all(k == 1 for k in ks)
-    via_dual = any(
-        is_fano(polar_dual(translate(p, tuple(-c for c in z))))
-        for z in interior_lattice_anchor_candidates(p, budget).points
-    )
-    if via_offsets != via_dual:
-        raise InternalInconsistency(
-            "support-value and dual-polytope characterizations of dual-Fano disagree",
-            via_offsets=via_offsets,
-            via_dual=via_dual,
-        )
-    return via_offsets
+    _, _, ks, fano_dual, _ = _anchor_pass(p, budget)
+    return _dual_fano(ks, fano_dual)
 
 
 def is_quasi_reflexive(p: Polytope, budget=None) -> bool:
     """Lattice polytope and dual-integral; cross-checked against the direct
     definition (some lattice translate is reflexive)."""
-    flag, _, _ = is_dual_integral(p, budget)
-    composed = is_lattice_polytope(p) and flag
-    direct = any(
-        is_reflexive(translate(p, tuple(-c for c in z)))
-        for z in interior_lattice_anchor_candidates(p, budget).points
-    )
-    if composed != direct:
-        raise InternalInconsistency(
-            "composed and direct quasi-reflexivity tests disagree",
-            composed=composed,
-            direct=direct,
-        )
-    return composed
+    _, anchor, _, _, reflexive = _anchor_pass(p, budget)
+    return _quasi_reflexive(is_lattice_polytope(p) and anchor is not None, reflexive)
 
 
 def classify(p: Polytope, budget=None) -> ClassificationReport:
     """Full report; the proven implications of the hierarchy are asserted
     before returning, so a malformed report can never escape."""
-    interior = interior_lattice_anchor_candidates(p, budget)
-    di_flag, anchor, ks = is_dual_integral(p, budget)
+    interior, anchor, ks, fano_dual, reflexive = _anchor_pass(p, budget)
+    lattice = is_lattice_polytope(p)
     report = ClassificationReport(
-        is_lattice=is_lattice_polytope(p),
+        is_lattice=lattice,
         is_fano=is_fano(p),
         is_reflexive=is_reflexive(p),
-        is_quasi_reflexive=is_quasi_reflexive(p, budget),
-        is_dual_fano=is_dual_fano(p, budget),
-        is_dual_integral=di_flag,
+        is_quasi_reflexive=_quasi_reflexive(lattice and anchor is not None, reflexive),
+        is_dual_fano=_dual_fano(ks, fano_dual),
+        is_dual_integral=anchor is not None,
         is_quasi_lattice=ehrhart.is_quasi_lattice(p, budget),
         interior_lattice_points=interior,
         anchor=anchor,

@@ -17,13 +17,13 @@ from . import flag as flag_mod
 from . import fuzz as fuzz_mod
 from . import toric as toric_mod
 from .classify import classify as classify_polytope
-from .errors import ReflexError
+from .errors import InvalidInput, ReflexError
 from .polytope import from_json as polytope_from_json
 from .polytope import polar_dual
 
 
 def _load_json_arg(path_or_inline: str) -> dict:
-    if path_or_inline.strip().startswith("{"):
+    if path_or_inline.strip().startswith(("{", "[")):
         return json.loads(path_or_inline)
     if path_or_inline == "-":
         return json.load(sys.stdin)
@@ -172,6 +172,8 @@ def _cmd_toric(args) -> int:
 def _cmd_flag(args) -> int:
     if args.infile:
         query = _load_json_arg(args.infile)
+        if not isinstance(query, dict):
+            raise InvalidInput("flag query JSON must be an object")
         type_label = query["type"]
         rank = int(query["rank"])
         excluded = tuple(int(i) for i in query["excluded_simples"])
@@ -274,3 +276,7 @@ def main(argv=None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

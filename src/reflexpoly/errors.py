@@ -6,6 +6,10 @@ triggered it, so callers (and the CLI) can emit machine-readable reports.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+from .rationals import format_rational
+
 
 class ReflexError(Exception):
     """Base class for all domain errors raised by reflexpoly."""
@@ -19,8 +23,20 @@ class ReflexError(Exception):
         return {
             "error": type(self).__name__,
             "message": self.message,
-            "context": {k: repr(v) for k, v in self.context.items()},
+            "context": {k: _wire(v) for k, v in self.context.items()},
         }
+
+
+def _wire(value):
+    """A context value in the JSON wire format: rationals as "p/q" strings,
+    tuples and lists element-wise, other non-JSON values by repr."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, (tuple, list)):
+        return [_wire(v) for v in value]
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    return repr(value)
 
 
 # -- polytope kernel ---------------------------------------------------------

@@ -20,15 +20,16 @@ uniform stream.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from . import ehrhart, toric
-from .classify import is_dual_fano, is_dual_integral
+from .classify import _anchor_pass, _dual_fano
 from .errors import GenerationExhausted, InternalInconsistency, LowerDimensional, ReflexError, ScaleExceeded
-from .polytope import Polytope, from_hrep, from_json, from_vrep, lattice_points, translate
+from .polytope import Polytope, from_hrep, from_json, from_vrep, translate
 from .rationals import format_rational
 
 _RETRY_CAP = 64
@@ -122,13 +123,9 @@ def random_polytope(cfg: FuzzConfig, stream: int) -> Polytope:
 
 
 def _random_primitive_normal(rng: random.Random, d: int, bound: int) -> tuple[int, ...]:
-    from math import gcd
-
     while True:
         vec = tuple(rng.randint(-bound, bound) for _ in range(d))
-        g = 0
-        for c in vec:
-            g = gcd(g, abs(c))
+        g = math.gcd(*vec)
         if g:
             return tuple(c // g for c in vec)
 
@@ -234,11 +231,11 @@ def test_conjecture_dualfano(cfg: FuzzConfig) -> FuzzReport:
             if stream % 2 == 0
             else random_polytope(cfg, stream)
         )
-        di, anchor, ks = is_dual_integral(poly, cfg.budget)
-        dfano = is_dual_fano(poly, cfg.budget)
+        interior, anchor, ks, fano_dual, _ = _anchor_pass(poly, cfg.budget)
+        di, dfano = anchor is not None, _dual_fano(ks, fano_dual)
         if dfano and not di:
             raise InternalInconsistency("dual-Fano without dual-integral", stream=stream)
-        if di and lattice_points(poly, strict=True, budget=cfg.budget).count != 1:
+        if di and interior.count != 1:
             raise InternalInconsistency(
                 "dual-integral without unique interior point", stream=stream
             )
@@ -282,8 +279,8 @@ def reverify_counterexample(conjecture: str, entry: dict, budget=None) -> bool:
             and weil != qp.is_polynomial()
         )
     if conjecture == "dualfano":
-        di, _, _ = is_dual_integral(poly, budget)
-        dfano = is_dual_fano(poly, budget)
+        _, anchor, ks, fano_dual, _ = _anchor_pass(poly, budget)
+        di, dfano = anchor is not None, _dual_fano(ks, fano_dual)
         return (
             di == entry["is_dual_integral"]
             and dfano == entry["is_dual_fano"]

@@ -310,14 +310,17 @@ def from_json(obj: dict) -> Polytope:
 
 
 def polar_dual(p: Polytope) -> Polytope:
-    """conv(u/b over facets); requires the origin strictly interior."""
+    """{y : <x, y> <= 1 on p}, read off p's canonical form with no hull: each
+    facet <x, u> <= b gives the vertex u/b, each vertex v the facet <y, v> <= 1
+    made primitive.  Requires 0 strictly interior, which makes both exact."""
     if any(h.offset <= 0 for h in p.hrep):
         raise OriginNotInterior(
             "polar dual needs 0 in the interior; translate first",
             offsets=[h.offset for h in p.hrep],
         )
-    duals = [tuple(Fraction(c) / h.offset for c in h.normal) for h in p.hrep]
-    return from_vrep(duals)
+    vertices = [tuple(Fraction(c) / h.offset for c in h.normal) for h in p.hrep]
+    facets = [HalfSpace(*_linalg.primitive_integer_vector(v)) for v in p.vrep]
+    return _assemble(p.dim, vertices, sorted(facets, key=lambda h: h.normal))
 
 
 def translate(p: Polytope, v) -> Polytope:

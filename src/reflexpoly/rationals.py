@@ -9,7 +9,6 @@ everywhere: the criteria implemented here distinguish 1 from 1/k.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -23,7 +22,7 @@ def format_rational(x: Fraction | int) -> str:
 
 
 def parse_rational(value) -> Fraction:
-    """Parse "p/q", "p", or an int into a Fraction.  Floats are refused."""
+    """Parse "p/q", "p", or an int into a Fraction; floats and "p/0" are refused."""
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, Fraction):
@@ -33,7 +32,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, float):
         raise ValueError("floating point input is not accepted; pass 'p/q' strings")
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {value!r}") from None
     raise ValueError(f"not a rational: {value!r}")
 
 
@@ -43,10 +45,3 @@ def parse_vector(values: Sequence) -> tuple[Fraction, ...]:
 
 def format_vector(vec: Iterable[Fraction]) -> list[str]:
     return [format_rational(c) for c in vec]
-
-
-def lcm_denominators(values: Iterable[Fraction]) -> int:
-    out = 1
-    for v in values:
-        out = lcm(out, Fraction(v).denominator)
-    return out

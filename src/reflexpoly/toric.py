@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ehrhart
-from .errors import EmptyInput, EmptyOrUnbounded, InternalInconsistency, UnboundedInput
+from .errors import EmptyInput, EmptyOrUnbounded, InternalInconsistency, InvalidInput, UnboundedInput
 from .polytope import (
     Polytope,
     count_in_box,
@@ -56,6 +56,8 @@ class ToricDivisorData:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ToricDivisorData":
+        if not isinstance(obj, dict):
+            raise InvalidInput("divisor JSON must be an object")
         rays = tuple(tuple(int(c) for c in r) for r in obj["rays"])
         coeffs = tuple(parse_rational(c) for c in obj["coefficients"])
         return cls(FanRays(rays), coeffs)

@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from reflexpoly import (
 )
 from reflexpoly.errors import DimensionMismatch, NotQuasiLattice
 from reflexpoly.fuzz import FuzzConfig, dual_integral_polytope, random_polytope
+from reflexpoly.fuzz import test_conjecture_dualfano as run_dualfano
 
 
 class TestElementaryFlags:
@@ -183,3 +186,52 @@ class TestCrossOracles:
         assert is_dual_integral(p)[0] == is_dual_integral(t)[0]
         assert is_dual_fano(p) == is_dual_fano(t)
         assert is_quasi_reflexive(p) == is_quasi_reflexive(t)
+
+
+def _count_calls(monkeypatch, calls, name, strict_only=False):
+    """Wrap polytope.<name> in every reflexpoly module that binds it."""
+    original = getattr(sys.modules["reflexpoly.polytope"], name)
+
+    def wrapper(*args, **kwargs):
+        if not strict_only or kwargs.get("strict"):
+            calls[name] += 1
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("reflexpoly"):
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+
+class TestWorkCounts:
+    """Each fact is computed once: one interior collect per classify, one
+    translate per interior point, and duals built without a hull."""
+
+    def test_classify_visits_each_anchor_once(
+        self, monkeypatch, reflexive_triangle, dual_fano_triangle, unit_square
+    ):
+        polytopes = [
+            reflexive_triangle,
+            dual_fano_triangle,
+            unit_square,
+            dilate(reflexive_triangle, 2),
+            translate(dilate(reflexive_triangle, 3), (1, -2)),
+        ]
+        calls = Counter()
+        for name in ("lattice_points", "translate", "from_vrep", "polar_dual"):
+            _count_calls(monkeypatch, calls, name)
+        for p in polytopes:
+            calls.clear()
+            interior = classify(p).interior_lattice_points.count
+            assert calls["lattice_points"] == 1
+            assert calls["translate"] == interior
+            assert calls["polar_dual"] <= interior + 1  # one more in is_reflexive(p)
+            assert calls["from_vrep"] == 0
+
+    def test_dualfano_fuzz_collects_interior_once_per_instance(self, monkeypatch):
+        calls = Counter()
+        _count_calls(monkeypatch, calls, "lattice_points", strict_only=True)
+        cfg = FuzzConfig(dim=2, samples=6, seed=42, max_coordinate=3, max_denominator=2)
+        report = run_dualfano(cfg)
+        assert report.instances_tested == cfg.samples
+        assert calls["lattice_points"] == cfg.samples

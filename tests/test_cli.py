@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import reflexpoly
 
 from conftest import DATA
 from reflexpoly.cli import main
@@ -56,7 +62,11 @@ class TestDual:
         code, out, err = run(capsys, "dual", "--in", square)
         assert code == 1
         assert out == ""
-        assert json.loads(err)["error"] == "OriginNotInterior"
+        assert json.loads(err) == {
+            "error": "OriginNotInterior",
+            "message": "polar dual needs 0 in the interior; translate first",
+            "context": {"offsets": ["0", "0", "1", "1"]},
+        }
 
 
 class TestCount:
@@ -152,6 +162,37 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["count", "--in", "x.json"])  # --n missing
         assert exc.value.code == 2
+
+
+class TestInputBoundary:
+    def test_zero_denominator(self, capsys):
+        blob = json.dumps({"dim": 1, "hrep": [{"normal": [1], "offset": "1/0"},
+                                              {"normal": [-1], "offset": "1"}]})
+        code, out, err = run(capsys, "dual", "--in", blob)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+    def test_inline_array_is_json(self, capsys):
+        code, _, err = run(capsys, "dual", "--in", "[1,2]")
+        assert code == 1
+        assert json.loads(err)["error"] == "InvalidInput"
+
+    def test_inline_array_query(self, capsys):
+        for argv in (("flag", "--in", "[1]"), ("toric", "--from-divisor", "--in", "[1]")):
+            code, _, err = run(capsys, *argv)
+            assert code == 1
+            assert json.loads(err)["error"] == "InvalidInput"
+
+    def test_module_entry_point(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(reflexpoly.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "reflexpoly.cli", "dual", "--in",
+             str(DATA / "reflexive_triangle.json")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["vrep"] == [["-1", "0"], ["0", "-1"], ["2", "3"]]
 
 
 class TestRoundTrips:

@@ -329,6 +329,11 @@ class TestJson:
 
 rational = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 points_2d = st.lists(st.tuples(rational, rational), min_size=3, max_size=6)
+points_1d_to_3d = st.one_of(
+    st.lists(st.tuples(rational), min_size=2, max_size=4),
+    points_2d,
+    st.lists(st.tuples(rational, rational, rational), min_size=4, max_size=7),
+)
 
 
 def _full_dim_hull(pts):
@@ -354,13 +359,15 @@ def test_hull_vertex_facet_round_trip(pts):
 
 
 @settings(max_examples=40, deadline=None)
-@given(points_2d)
+@given(points_1d_to_3d)
 def test_polar_dual_properties(pts):
     p = _full_dim_hull(pts)
     if p is None:
         return
     q = _center_at_origin(p)
     dual = polar_dual(q)
+    # the hull of the facet points u/b is an independent construction
+    assert dual == from_vrep([tuple(c / h.offset for c in h.normal) for h in q.hrep])
     assert polar_dual(dual) == q
     assert len(dual.vrep) == len(q.hrep)
     assert len(dual.hrep) == len(q.vrep)
