@@ -51,41 +51,6 @@ def rank(rows) -> int:
     return len(pivots)
 
 
-def solve_square(rows, rhs) -> list[Fraction] | None:
-    """Solve a d x d system exactly; None when the matrix is singular."""
-    d = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for c in range(d):
-        pivot_row = None
-        for i in range(c, d):
-            if aug[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return None
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(d):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [aug[i][d] for i in range(d)]
-
-
-def nullspace_direction(rows, width: int) -> tuple[Fraction, ...] | None:
-    """A spanning vector of the nullspace when it is exactly 1-dimensional."""
-    rref, pivots = row_reduce(rows)
-    if width - len(pivots) != 1:
-        return None
-    free = [c for c in range(width) if c not in pivots][0]
-    v = [Fraction(0)] * width
-    v[free] = Fraction(1)
-    for row, pc in zip(rref, pivots):
-        v[pc] = -row[free]
-    return tuple(v)
-
-
 def primitive_integer_vector(vec: Sequence[Fraction]) -> tuple[tuple[int, ...], Fraction]:
     """Scale a nonzero rational vector by a positive rational into a primitive
     integer vector (gcd of entries 1).  Returns (primitive, scale) with

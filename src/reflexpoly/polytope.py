@@ -9,9 +9,9 @@ A polytope is stored with both descriptions at once:
 
 Canonical form makes equality of polytopes a structural comparison.  Only
 full-dimensional bounded sets are first-class; everything else raises.  All
-arithmetic is exact: conversions run Gaussian elimination over Fraction, and
-lattice-point scans solve each last-axis fiber of the bounding box by integer
-floor division (see ``_scan``).
+arithmetic is exact: both hull conversions run one integer double-description
+routine (``_cone``) on a homogenized cone, and lattice-point scans solve each
+last-axis fiber of the bounding box by integer floor division (see ``_scan``).
 
 Supported desk scale is ambient dimension <= 4 with bounding boxes up to the
 configurable enumeration budget (default 10^7 box points, env var
@@ -20,7 +20,6 @@ REFLEX_BUDGET).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -42,7 +41,8 @@ from .rationals import format_rational, format_vector, parse_rational, parse_vec
 
 DEFAULT_BUDGET = 10_000_000
 
-# combinatorial guard: C(m, d) blows up fast, keep inputs at desk scale
+# input guard at the documented desk scale; the hull conversion itself
+# takes well under a second at these caps in 4D
 _MAX_HALFSPACES = 64
 _MAX_POINTS = 64
 
@@ -115,67 +115,66 @@ def _normalize_halfspaces(halfspaces, dim: int) -> list[tuple[tuple[int, ...], F
     return sorted(cleaned.items())
 
 
-def _fm_feasible(constraints: Sequence[tuple[Sequence[Fraction], Fraction]], dim: int) -> bool:
-    """Fourier-Motzkin feasibility for <x,c> <= b systems (exact, small d)."""
-    cons = [([Fraction(x) for x in c], Fraction(b)) for c, b in constraints]
-    for k in range(dim):
-        pos = [(c, b) for c, b in cons if c[k] > 0]
-        neg = [(c, b) for c, b in cons if c[k] < 0]
-        zero = [(c, b) for c, b in cons if c[k] == 0]
-        new = zero
-        for cp, bp in pos:
-            for cn, bn in neg:
-                t1, t2 = -cn[k], cp[k]
-                new.append(
-                    ([a * t1 + b_ * t2 for a, b_ in zip(cp, cn)], bp * t1 + bn * t2)
-                )
-        cons = new
-    return all(b >= 0 for _, b in cons)
+def _cone(rows: Sequence[Sequence[int]], width: int):
+    """Extreme rays and a lineality basis of {x : <a, x> <= 0 for every row a}.
 
-
-def _satisfies_all(point, rows, strict=False) -> bool:
-    for normal, offset in rows:
-        val = sum(Fraction(c) * x for c, x in zip(normal, point))
-        if strict:
-            if val >= offset:
-                return False
-        elif val > offset:
-            return False
-    return True
-
-
-def _recession_direction(normals: Sequence[tuple[int, ...]], dim: int):
-    """A nonzero direction w with <w,u> <= 0 for every normal u, if one exists.
-
-    With normals of full rank the recession cone is pointed, so any nonzero
-    cone member forces an extreme ray cut out by dim-1 independent normals.
+    Double description over the integers (Motzkin 1953; Fukuda & Prodon
+    1996): rows are added one at a time to R^width.  Rays stay primitive,
+    since two of them combine with positive integer weights and divide by
+    their gcd.  Each ray carries the bitmask of rows it is tight on; two rays
+    are adjacent when no third ray is tight on every row both are tight on.
+    A lineality vector that a row does not vanish on becomes a ray.
+    Returns (rays, lineality), each a list of primitive integer tuples.
     """
-    if dim == 1:
-        for w in ((1,), (-1,)):
-            if all(w[0] * u[0] <= 0 for u in normals):
-                return w
-        return None
-    for subset in itertools.combinations(normals, dim - 1):
-        direction = _linalg.nullspace_direction(subset, dim)
-        if direction is None:
+    lineality = [tuple(int(i == j) for j in range(width)) for i in range(width)]
+    rays: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    for k, a in enumerate(rows):
+        bit = 1 << k
+        dots = [_dot(a, l) for l in lineality]
+        pivot = next((i for i, s in enumerate(dots) if s != 0), None)
+        if pivot is not None:
+            l, s = lineality.pop(pivot), dots.pop(pivot)
+            sign = 1 if s > 0 else -1
+            lineality = [
+                m if d == 0 else _primitive([s * x - d * y for x, y in zip(m, l)])
+                for m, d in zip(lineality, dots)
+            ]
+            rays = [
+                _primitive([abs(s) * x - sign * e * y for x, y in zip(r, l)])
+                for r, e in zip(rays, [_dot(a, r) for r in rays])
+            ]
+            masks = [z | bit for z in masks]
+            rays.append(tuple(-sign * y for y in l))
+            masks.append(bit - 1)
             continue
-        prim, _ = _linalg.primitive_integer_vector(direction)
-        for w in (prim, tuple(-x for x in prim)):
-            if all(sum(wi * ui for wi, ui in zip(w, u)) <= 0 for u in normals):
-                return w
-    return None
+        values = [_dot(a, r) for r in rays]
+        pos = [i for i, e in enumerate(values) if e > 0]
+        neg = [i for i, e in enumerate(values) if e < 0]
+        tight_needed = width - len(lineality) - 2
+        new_rays = [r for r, e in zip(rays, values) if e <= 0]
+        new_masks = [z | bit if e == 0 else z for z, e in zip(masks, values) if e <= 0]
+        for i in pos:
+            for j in neg:
+                common = masks[i] & masks[j]
+                if common.bit_count() < tight_needed:
+                    continue
+                if sum(z & common == common for z in masks) > 2:
+                    continue
+                wi, wj = -values[j], values[i]
+                new_rays.append(_primitive([wi * x + wj * y for x, y in zip(rays[i], rays[j])]))
+                new_masks.append(common | bit)
+        rays, masks = new_rays, new_masks
+    return rays, lineality
 
 
-def _enumerate_vertices(rows, dim: int) -> list[tuple[Fraction, ...]]:
-    seen: dict[tuple[Fraction, ...], None] = {}
-    for subset in itertools.combinations(rows, dim):
-        sol = _linalg.solve_square([r[0] for r in subset], [r[1] for r in subset])
-        if sol is None:
-            continue
-        point = tuple(sol)
-        if point not in seen and _satisfies_all(point, rows):
-            seen[point] = None
-    return list(seen)
+def _dot(a: Sequence[int], x: Sequence[int]) -> int:
+    return sum(p * q for p, q in zip(a, x))
+
+
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def _facets_from_vertices(
@@ -219,21 +218,23 @@ def from_hrep(halfspaces, dim: int) -> Polytope:
     rows = _normalize_halfspaces(halfspaces, dim)
     if not rows:
         raise UnboundedInput("no effective constraints")
-    normals = [u for u, _ in rows]
-    if _linalg.rank(normals) < dim:
-        if _fm_feasible(rows, dim):
-            raise UnboundedInput("constraint normals do not span the space")
-        raise EmptyInput("halfspace intersection is infeasible")
-    vertices = _enumerate_vertices(rows, dim)
+    # the cone over P x {1}: (x, t) with <q u, x> <= p t and t >= 0
+    homogenized = [(0,) * dim + (-1,)]
+    homogenized += [tuple(b.denominator * c for c in u) + (-b.numerator,) for u, b in rows]
+    rays, lineality = _cone(homogenized, dim + 1)
+    vertices = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays if r[-1] > 0]
     if not vertices:
         raise EmptyInput("halfspace intersection is infeasible")
-    direction = _recession_direction(normals, dim)
-    if direction is not None:
-        raise UnboundedInput("recession direction found", direction=direction)
+    if lineality:
+        raise UnboundedInput("constraint normals do not span the space")
+    recession = [r[:-1] for r in rays if r[-1] == 0]
+    if recession:
+        raise UnboundedInput("recession direction found", direction=min(recession))
     if _linalg.affine_rank(vertices) < dim:
         raise LowerDimensional(
             "intersection is not full-dimensional", rank=_linalg.affine_rank(vertices)
         )
+    normals = [u for u, _ in rows]
     return _assemble(dim, vertices, _facets_from_vertices(dim, vertices, normals))
 
 
@@ -251,27 +252,25 @@ def from_vrep(points) -> Polytope:
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise InvalidInput("points have mixed dimensions")
+    if dim == 0:
+        raise InvalidInput("points need at least one coordinate")
     pts = list(dict.fromkeys(pts))
     if _linalg.affine_rank(pts) < dim:
         raise LowerDimensional("convex hull is not full-dimensional")
 
-    candidates: dict[tuple[int, ...], Fraction] = {}
-    for subset in itertools.combinations(pts, dim):
-        base = subset[0]
-        diffs = [[a - b for a, b in zip(p, base)] for p in subset[1:]]
-        direction = _linalg.nullspace_direction(diffs, dim) if dim > 1 else (Fraction(1),)
-        if direction is None or all(x == 0 for x in direction):
-            continue
-        prim, _ = _linalg.primitive_integer_vector(direction)
-        level = sum(c * x for c, x in zip(prim, base))
-        values = [sum(c * x for c, x in zip(prim, p)) for p in pts]
-        if max(values) == level:
-            candidates.setdefault(prim, level)
-        if min(values) == level:
-            neg = tuple(-c for c in prim)
-            candidates.setdefault(neg, -level)
-
-    facets = [HalfSpace(u, b) for u, b in sorted(candidates.items())]
+    # the valid inequalities <x, u> <= b are the cone of (u, b) with
+    # <q v, u> - q b <= 0 for each point v (q the lcm of its denominators);
+    # its extreme rays are the facets
+    homogenized = []
+    for p in pts:
+        q = math.lcm(*(x.denominator for x in p))
+        homogenized.append(tuple(int(x * q) for x in p) + (-q,))
+    rays, _ = _cone(homogenized, dim + 1)
+    facets = []
+    for r in rays:
+        g = math.gcd(*r[:-1])
+        facets.append(HalfSpace(tuple(c // g for c in r[:-1]), Fraction(r[-1], g)))
+    facets.sort(key=lambda h: h.normal)
     rows = [(h.normal, h.offset) for h in facets]
     vertices = []
     for p in pts:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
 Deliberately naive and Fraction-only: these share no code with the package's
-scan backends or reconstruction routines, so agreement is meaningful.
+scan backends, hull conversion or reconstruction routines, so agreement is
+meaningful.
 """
 
 from __future__ import annotations
@@ -112,3 +113,146 @@ def euclidean_volume(poly) -> Fraction:
             total += height_scaled * area_proj / abs(h.normal[k])
         return total / 3
     raise ValueError("volume oracle covers dimensions 1-3 only")
+
+
+# -- convex hull by subset enumeration ----------------------------------------
+#
+# Both directions return ("ok", hrep, vrep) with hrep the sorted
+# (primitive normal, offset) pairs and vrep the sorted vertices, or
+# (error class name, message) when the input is not a full-dimensional
+# bounded polytope.
+
+
+def _dot(a, b) -> Fraction:
+    return sum((Fraction(x) * y for x, y in zip(a, b)), Fraction(0))
+
+
+def _echelon(rows, width):
+    """Reduced row echelon form of a Fraction matrix: (rows, pivot columns)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pick is None:
+            continue
+        mat[r], mat[pick] = mat[pick], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return mat[: len(pivots)], pivots
+
+
+def _rank(rows, width) -> int:
+    return len(_echelon(rows, width)[1])
+
+
+def _affine_rank(points) -> int:
+    base = points[0]
+    return _rank([[a - b for a, b in zip(p, base)] for p in points[1:]], len(base))
+
+
+def _kernel_line(rows, width):
+    """The spanning vector of the kernel when the kernel is a line."""
+    mat, pivots = _echelon(rows, width)
+    if width - len(pivots) != 1:
+        return None
+    free = next(c for c in range(width) if c not in pivots)
+    v = [Fraction(0)] * width
+    v[free] = Fraction(1)
+    for row, c in zip(mat, pivots):
+        v[c] = -row[free]
+    return v
+
+
+def _solve(rows, rhs, width):
+    """One solution of a consistent system rows x = rhs (free entries 0)."""
+    mat, pivots = _echelon([list(r) + [b] for r, b in zip(rows, rhs)], width + 1)
+    x = [Fraction(0)] * width
+    for row, c in zip(mat, pivots):
+        x[c] = row[width]
+    return tuple(x)
+
+
+def _primitive(vec):
+    """(primitive integer vector, positive scale) with vector == scale * vec."""
+    den = math.lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(Fraction(x) * den) for x in vec]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints), Fraction(den, g)
+
+
+def brute_hull_from_vrep(points):
+    """Facets from every affinely independent d-subset whose hyperplane has
+    all points on one side; vertices are the points on d independent facets."""
+    pts = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
+    dim = len(pts[0])
+    if _affine_rank(pts) < dim:
+        return ("LowerDimensional", "convex hull is not full-dimensional")
+    facets = {}
+    for subset in itertools.combinations(pts, dim):
+        base = subset[0]
+        w = _kernel_line([[a - b for a, b in zip(p, base)] for p in subset[1:]], dim)
+        if w is None:
+            continue
+        u, _ = _primitive(w)
+        level = _dot(u, base)
+        values = [_dot(u, p) for p in pts]
+        if max(values) == level:
+            facets[u] = level
+        if min(values) == level:
+            facets[tuple(-c for c in u)] = -level
+    vertices = [
+        p for p in pts
+        if _rank([u for u, b in facets.items() if _dot(u, p) == b], dim) == dim
+    ]
+    return ("ok", tuple(sorted(facets.items())), tuple(sorted(vertices)))
+
+
+def brute_hull_from_hrep(halfspaces, dim):
+    """Minimal faces from every independent r-subset of the normals (r their
+    rank) solved as equations; a recession ray from every (d-1)-subset."""
+    rows = {}
+    for normal, offset in halfspaces:
+        offset = Fraction(offset)
+        if all(c == 0 for c in normal):
+            if offset < 0:
+                return ("EmptyInput", "constraint 0 <= negative is infeasible")
+            continue
+        u, scale = _primitive(normal)
+        rows[u] = min(rows.get(u, offset * scale), offset * scale)
+    if not rows:
+        return ("UnboundedInput", "no effective constraints")
+    normals = sorted(rows)
+    r = _rank(normals, dim)
+    points = set()
+    for subset in itertools.combinations(normals, r):
+        if _rank(subset, dim) < r:
+            continue
+        x = _solve(subset, [rows[u] for u in subset], dim)
+        if all(_dot(u, x) <= rows[u] for u in normals):
+            points.add(x)
+    if not points:
+        return ("EmptyInput", "halfspace intersection is infeasible")
+    if r < dim:
+        return ("UnboundedInput", "constraint normals do not span the space")
+    for subset in itertools.combinations(normals, dim - 1):
+        w = _kernel_line(subset, dim)
+        if w is None:
+            continue
+        for s in (w, [-x for x in w]):
+            if all(_dot(s, u) <= 0 for u in normals):
+                return ("UnboundedInput", "recession direction found")
+    vertices = sorted(points)
+    if _affine_rank(vertices) < dim:
+        return ("LowerDimensional", "intersection is not full-dimensional")
+    facets = []
+    for u in normals:
+        values = [_dot(u, v) for v in vertices]
+        b = max(values)
+        if _affine_rank([v for v, x in zip(vertices, values) if x == b]) == dim - 1:
+            facets.append((u, b))
+    return ("ok", tuple(facets), tuple(vertices))

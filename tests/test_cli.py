@@ -173,6 +173,14 @@ class TestInputBoundary:
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
 
+    def test_zero_length_point(self, capsys):
+        code, out, err = run(capsys, "dual", "--in", '{"vrep": [[]]}')
+        assert code == 1
+        assert out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "InvalidInput"
+        assert obj["message"] == "points need at least one coordinate"
+
     def test_inline_array_is_json(self, capsys):
         code, _, err = run(capsys, "dual", "--in", "[1,2]")
         assert code == 1

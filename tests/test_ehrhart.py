@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import brute_count, euclidean_volume
 from reflexpoly import (
@@ -12,6 +13,7 @@ from reflexpoly import (
     ehrhart_quasi_polynomial,
     evaluate,
     from_hrep,
+    from_vrep,
     hibi_symmetry_check,
     hilbert_symmetry_check,
     is_quasi_lattice,
@@ -19,7 +21,13 @@ from reflexpoly import (
     round_down,
     round_up,
 )
-from reflexpoly.errors import CollapsedPolytope, PeriodNotOne, ScaleExceeded, ValidationFailed
+from reflexpoly.errors import (
+    CollapsedPolytope,
+    LowerDimensional,
+    PeriodNotOne,
+    ScaleExceeded,
+    ValidationFailed,
+)
 
 
 class TestCounts:
@@ -247,3 +255,27 @@ def test_oracle_agreement_on_dilations(dual_fano_triangle, half_segment):
             assert count(p, n) == brute_count(p, n)
             if n >= 1:
                 assert count_interior(p, n) == brute_count(p, n, strict=True)
+
+
+small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+small_clouds = st.one_of(
+    st.lists(st.tuples(small_rational), min_size=2, max_size=3),
+    st.lists(st.tuples(small_rational, small_rational), min_size=3, max_size=5),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_clouds, st.integers(2, 3))
+def test_dilation_relation(pts, k):
+    """L_{kP}(n) = L_P(kn), with kP the hull of the k-scaled points."""
+    try:
+        p = from_vrep(pts)
+    except LowerDimensional:
+        return
+    kp = from_vrep([tuple(k * x for x in v) for v in pts])
+    assert kp == dilate(p, k)
+    q, qk = ehrhart_quasi_polynomial(p), ehrhart_quasi_polynomial(kp)
+    for n in range(-3, 6):
+        assert evaluate(qk, n) == evaluate(q, k * n)
+        if n >= 0:
+            assert count(kp, n) == count(p, k * n)

@@ -1,10 +1,13 @@
 import json
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_lattice_points
+from oracles import brute_hull_from_hrep, brute_hull_from_vrep, brute_lattice_points
 from reflexpoly import (
     HalfSpace,
     count_lattice_points,
@@ -26,6 +29,7 @@ from reflexpoly.errors import (
     LowerDimensional,
     NonPositiveFactor,
     OriginNotInterior,
+    ReflexError,
     ScaleExceeded,
     UnboundedInput,
 )
@@ -107,6 +111,10 @@ class TestFromVrep:
     def test_single_point_rejected(self):
         with pytest.raises(LowerDimensional):
             from_vrep([(0,)])
+
+    def test_zero_length_points_rejected(self):
+        with pytest.raises(InvalidInput):
+            from_vrep([()])
 
     def test_interior_point_discarded(self):
         p = from_vrep([(0, 0), (1, 0), (0, 1), (Fraction(1, 2), Fraction(1, 2))])
@@ -280,6 +288,29 @@ class TestFourDimensional:
         assert count_lattice_points(cube) == 81
         assert lattice_points(cube, strict=True).points == ((0, 0, 0, 0),)
 
+    def test_edge_midpoint_discarded(self):
+        # the midpoint lies on three facets whose normals have rank 3, one
+        # short of a vertex
+        cube = [tuple(2 * ((k >> j) & 1) for j in range(4)) for k in range(16)]
+        p = from_vrep(cube + [(1, 0, 0, 0)])
+        assert p == from_vrep(cube) and len(p.vrep) == 16
+
+    def test_point_on_an_edge_of_two_non_adjacent_facets(self):
+        # (1, 1, 0, 0) puts three points on the edge shared by the facets
+        # x1 + x2 + x3 + x4 <= 2 and x1 + x2 - x3 - x4 <= 2; the last point
+        # cuts off only the first, and the two facets must not be combined
+        cross = [tuple(s * 2 * int(i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+        apex = (Fraction(3, 5),) * 4
+        p = from_vrep(cross + [(1, 1, 0, 0), apex])
+        assert p == from_vrep(cross + [apex])
+        assert len(p.vrep) == 9
+
+    def test_halfspace_on_a_two_face_dropped(self):
+        # x1 + x2 <= 2 touches the cube only in the square x1 = x2 = 1
+        rows = [(tuple(s if j == i else 0 for j in range(4)), 1) for i in range(4) for s in (1, -1)]
+        cube = from_hrep(rows, 4)
+        assert from_hrep(rows + [((1, 1, 0, 0), 2)], 4) == cube
+
 
 class TestNormalFanRays:
     def test_square(self, sym_square):
@@ -334,6 +365,10 @@ points_1d_to_3d = st.one_of(
     points_2d,
     st.lists(st.tuples(rational, rational, rational), min_size=4, max_size=7),
 )
+points_1d_to_4d = st.one_of(
+    points_1d_to_3d,
+    st.lists(st.tuples(rational, rational, rational, rational), min_size=5, max_size=8),
+)
 
 
 def _full_dim_hull(pts):
@@ -348,8 +383,24 @@ def _center_at_origin(p):
     return translate(p, tuple(-x for x in c))
 
 
+def _canonical(p):
+    """A polytope in the brute-force oracle's output form."""
+    return ("ok", tuple((h.normal, h.offset) for h in p.hrep), p.vrep)
+
+
+def _outcome(build, *args):
+    try:
+        return _canonical(build(*args))
+    except ReflexError as exc:
+        return (type(exc).__name__, exc.message)
+
+
+def _dot(a, b):
+    return sum(Fraction(x) * y for x, y in zip(a, b))
+
+
 @settings(max_examples=40, deadline=None)
-@given(points_2d)
+@given(points_1d_to_4d)
 def test_hull_vertex_facet_round_trip(pts):
     p = _full_dim_hull(pts)
     if p is None:
@@ -366,8 +417,9 @@ def test_polar_dual_properties(pts):
         return
     q = _center_at_origin(p)
     dual = polar_dual(q)
-    # the hull of the facet points u/b is an independent construction
-    assert dual == from_vrep([tuple(c / h.offset for c in h.normal) for h in q.hrep])
+    # the brute-force hull of the facet points u/b is an independent construction
+    facet_points = [tuple(c / h.offset for c in h.normal) for h in q.hrep]
+    assert _canonical(dual) == brute_hull_from_vrep(facet_points)
     assert polar_dual(dual) == q
     assert len(dual.vrep) == len(q.hrep)
     assert len(dual.hrep) == len(q.vrep)
@@ -382,3 +434,181 @@ def test_lattice_count_oracle_and_translation(pts, zx, zy):
         return
     assert list(lattice_points(p).points) == brute_lattice_points(p)
     assert count_lattice_points(translate(p, (zx, zy))) == count_lattice_points(p)
+
+
+# -- hull conversion against the brute-force oracle ----------------------------
+
+@st.composite
+def hrep_inputs(draw):
+    """Up to 10 halfspaces in 1-4D with normals in [-2, 2] and offsets p/q;
+    half of the systems include a simplex x >= -a, sum(x) <= c, so that
+    bounded polytopes occur in every dimension."""
+    d = draw(st.integers(1, 4))
+    normal = st.tuples(*[st.integers(-2, 2)] * d)
+    offset = st.builds(Fraction, st.integers(-3, 6), st.integers(1, 4))
+    rows = []
+    if draw(st.booleans()):
+        corner = st.builds(Fraction, st.integers(0, 6), st.integers(1, 4))
+        rows = [(tuple(-int(i == j) for j in range(d)), draw(corner)) for i in range(d)]
+        rows.append(((1,) * d, draw(corner)))
+    rows += draw(st.lists(st.tuples(normal, offset), min_size=1, max_size=10 - len(rows)))
+    return rows, d
+
+
+@st.composite
+def degenerate_hrep_inputs(draw):
+    """A 2-4D box with integer bounds and cuts with normals in [-1, 1] and
+    integer offsets, so that many facets meet at one vertex."""
+    d = draw(st.integers(2, 4))
+    rows = [
+        (tuple(s * int(i == j) for j in range(d)), draw(st.integers(0, 2)))
+        for i in range(d)
+        for s in (-1, 1)
+    ]
+    cut = st.tuples(st.tuples(*[st.integers(-1, 1)] * d), st.integers(0, 3))
+    rows += draw(st.lists(cut, min_size=1, max_size=10 - len(rows)))
+    return rows, d
+
+
+vrep_inputs = st.one_of(
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.tuples(*[rational] * d), min_size=d, max_size=8)
+    ),
+    # points of a 3x3x3(x3) grid: collinear and coplanar subsets everywhere
+    st.integers(3, 4).flatmap(
+        lambda d: st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=d + 1, max_size=8)
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(hrep_inputs(), degenerate_hrep_inputs()))
+def test_from_hrep_matches_oracle(args):
+    rows, d = args
+    assert _outcome(from_hrep, rows, d) == brute_hull_from_hrep(rows, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vrep_inputs)
+def test_from_vrep_matches_oracle(pts):
+    assert _outcome(from_vrep, pts) == brute_hull_from_vrep(pts)
+
+
+@st.composite
+def recessive_hreps(draw):
+    """Systems that hold the origin, span the space and recede along a drawn
+    w: every normal u is flipped so that <w, u> <= 0."""
+    d = draw(st.integers(1, 4))
+    w = draw(st.tuples(*[st.integers(-2, 2)] * d).filter(any))
+    normals = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=8))
+    normals += [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    rows = []
+    for u in normals:
+        if _dot(u, w) > 0:
+            u = tuple(-c for c in u)
+        rows.append((u, draw(st.builds(Fraction, st.integers(0, 6), st.integers(1, 4)))))
+    return rows, d
+
+
+@settings(max_examples=40, deadline=None)
+@given(recessive_hreps())
+def test_recession_witness(args):
+    rows, d = args
+    with pytest.raises(UnboundedInput, match="recession direction found") as info:
+        from_hrep(rows, d)
+    w = info.value.context["direction"]
+    assert len(w) == d and any(w) and math.gcd(*w) == 1
+    assert all(_dot(u, w) <= 0 for u, _ in rows)
+
+
+# -- metamorphic relations -----------------------------------------------------
+
+@st.composite
+def unimodular_affine_maps(draw, d):
+    """(U, U^-T, z): U a product of elementary integer matrices (a shear
+    row_i += c row_j, or a sign flip of row i), z an integer shift."""
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    m, m_inv_t = [r[:] for r in eye], [r[:] for r in eye]
+    steps = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.sampled_from((-1, 1)))
+    for i, j, c in draw(st.lists(steps, max_size=4)):
+        if i == j:
+            m[i] = [-x for x in m[i]]
+            m_inv_t[i] = [-x for x in m_inv_t[i]]
+        else:
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+            m_inv_t[j] = [a - c * b for a, b in zip(m_inv_t[j], m_inv_t[i])]
+    z = draw(st.tuples(*[st.integers(-3, 3)] * d))
+    return m, m_inv_t, z
+
+
+def _mat_vec(m, v):
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_hull_commutes_with_unimodular_maps(data):
+    p = _full_dim_hull(data.draw(points_1d_to_4d))
+    if p is None:
+        return
+    m, m_inv_t, z = data.draw(unimodular_affine_maps(p.dim))
+
+    def image_of(v):
+        return tuple(a + b for a, b in zip(_mat_vec(m, v), z))
+
+    image = from_vrep([image_of(v) for v in p.vrep])
+    assert image.vrep == tuple(sorted(image_of(v) for v in p.vrep))
+    facets = []
+    for h in p.hrep:
+        u = _mat_vec(m_inv_t, h.normal)
+        facets.append((u, h.offset + _dot(u, z)))
+    assert [(h.normal, h.offset) for h in image.hrep] == sorted(facets)
+    assert from_hrep(facets, p.dim) == image
+    for strict in (False, True):
+        assert count_lattice_points(image, strict) == count_lattice_points(p, strict)
+
+
+# -- desk-scale caps -----------------------------------------------------------
+
+def _sphere_cloud(seed, d, n, radius):
+    """n integer points within 1/2 of the radius-r sphere."""
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < n:
+        v = tuple(rng.randint(-radius, radius) for _ in range(d))
+        if abs(math.sqrt(sum(c * c for c in v)) - radius) <= 0.5:
+            pts.add(v)
+    return sorted(pts)
+
+
+def _sphere_halfspaces(seed, d, m):
+    """m distinct primitive normals in [-3, 3]^d, each facet hyperplane at
+    distance about 2 from the origin."""
+    rng = random.Random(seed)
+    rows = {}
+    while len(rows) < m:
+        u = tuple(rng.randint(-3, 3) for _ in range(d))
+        if any(u) and math.gcd(*u) == 1:
+            rows[u] = math.isqrt(4 * sum(c * c for c in u))
+    return sorted(rows.items())
+
+
+def test_hull_at_desk_scale_caps():
+    """The documented caps (64 points or halfspaces, d <= 4) in well under the
+    bound; each round trip runs where the other side is within the caps."""
+    start = time.perf_counter()
+    hulls = [
+        (from_vrep(pts), pts)
+        for pts in (_sphere_cloud(1, 3, 64, 7), _sphere_cloud(2, 4, 40, 4))
+    ]
+    rows = _sphere_halfspaces(3, 4, 54)
+    hulls.append((from_hrep(rows, 4), None))
+    for p, pts in hulls:
+        if pts is not None:
+            assert all(_dot(h.normal, v) <= h.offset for h in p.hrep for v in pts)
+        if len(p.hrep) <= 64:
+            assert from_hrep([(h.normal, h.offset) for h in p.hrep], p.dim) == p
+        if len(p.vrep) <= 64:
+            assert from_vrep(p.vrep) == p
+    assert [(len(p.hrep), len(p.vrep)) for p, _ in hulls] == [(93, 52), (130, 37), (52, 237)]
+    assert time.perf_counter() - start < 10
