@@ -13,6 +13,13 @@ arithmetic is exact: both hull conversions run one integer double-description
 routine (``_cone``) on a homogenized cone, and lattice-point scans solve each
 last-axis fiber of the bounding box by integer floor division (see ``_scan``).
 
+The combinatorics of a hull are read off the cone's incidence masks, with no
+rank test: a polytope is full-dimensional exactly when no row is tight at
+every vertex, and the facets (dually, the vertices) are the rows (points)
+whose tight sets are nonempty and maximal by inclusion (Schrijver 1986,
+section 8.2; Ziegler 1995, chapter 2).  Only the error path needs a rank, and
+rank(M) = width - dim ker M is read off the lineality of ``_cone(M)``.
+
 Supported desk scale is ambient dimension <= 4 with bounding boxes up to the
 configurable enumeration budget (default 10^7 box points, env var
 REFLEX_BUDGET).
@@ -24,9 +31,9 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from . import _linalg, _scan
+from . import _scan
 from .errors import (
     CollapsedPolytope,
     EmptyInput,
@@ -106,7 +113,7 @@ def _normalize_halfspaces(halfspaces, dim: int) -> list[tuple[tuple[int, ...], F
             if b < 0:
                 raise EmptyInput("constraint 0 <= negative is infeasible", offset=b)
             continue
-        prim, scale = _linalg.primitive_integer_vector(vec)
+        prim, scale = primitive_integer_vector(vec)
         b = b * scale
         if prim in cleaned:
             cleaned[prim] = min(cleaned[prim], b)
@@ -124,7 +131,10 @@ def _cone(rows: Sequence[Sequence[int]], width: int):
     their gcd.  Each ray carries the bitmask of rows it is tight on; two rays
     are adjacent when no third ray is tight on every row both are tight on.
     A lineality vector that a row does not vanish on becomes a ray.
-    Returns (rays, lineality), each a list of primitive integer tuples.
+    Returns (rays, masks, lineality): rays and lineality are lists of
+    primitive integer tuples, and bit k of masks[i] is set exactly when
+    rays[i] is tight on rows[k].  The lineality space is the kernel of the
+    row matrix, so its length is width minus the rank of the rows.
     """
     lineality = [tuple(int(i == j) for j in range(width)) for i in range(width)]
     rays: list[tuple[int, ...]] = []
@@ -165,7 +175,7 @@ def _cone(rows: Sequence[Sequence[int]], width: int):
                 new_rays.append(_primitive([wi * x + wj * y for x, y in zip(rays[i], rays[j])]))
                 new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
-    return rays, lineality
+    return rays, masks, lineality
 
 
 def _dot(a: Sequence[int], x: Sequence[int]) -> int:
@@ -177,21 +187,24 @@ def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def _facets_from_vertices(
-    dim: int,
-    vertices: Sequence[tuple[Fraction, ...]],
-    candidate_normals: Iterable[tuple[int, ...]],
-) -> list[HalfSpace]:
-    facets: dict[tuple[int, ...], Fraction] = {}
-    for u in candidate_normals:
-        if u in facets:
-            continue
-        values = [sum(c * x for c, x in zip(u, v)) for v in vertices]
-        b = max(values)
-        tight = [v for v, val in zip(vertices, values) if val == b]
-        if len(tight) >= dim and _linalg.affine_rank(tight) == dim - 1:
-            facets[u] = b
-    return [HalfSpace(u, b) for u, b in sorted(facets.items())]
+def primitive_integer_vector(vec: Sequence[Fraction]) -> tuple[tuple[int, ...], Fraction]:
+    """(u, s) with u = s * vec the primitive integer vector of a nonzero
+    Fraction vector, and s > 0."""
+    q = math.lcm(*(x.denominator for x in vec))
+    u = _primitive([int(x * q) for x in vec])
+    k = next(i for i, c in enumerate(u) if c)
+    return u, Fraction(u[k]) / vec[k]
+
+
+def _incidence(masks: Sequence[int], bits: range) -> list[int]:
+    """For each row bit k, the bitmask of the rays whose masks hold bit k."""
+    return [sum(1 << i for i, z in enumerate(masks) if z >> k & 1) for k in bits]
+
+
+def _maximal(sets: Sequence[int]) -> list[bool]:
+    """Which bitmask sets are strictly inside no other set (an empty set is
+    inside any nonempty one, so a maximal set is nonempty unless all are)."""
+    return [not any(o != t and o & t == t for o in sets) for t in sets]
 
 
 def _assemble(dim: int, vertices, facets) -> Polytope:
@@ -221,21 +234,23 @@ def from_hrep(halfspaces, dim: int) -> Polytope:
     # the cone over P x {1}: (x, t) with <q u, x> <= p t and t >= 0
     homogenized = [(0,) * dim + (-1,)]
     homogenized += [tuple(b.denominator * c for c in u) + (-b.numerator,) for u, b in rows]
-    rays, lineality = _cone(homogenized, dim + 1)
-    vertices = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays if r[-1] > 0]
-    if not vertices:
+    rays, masks, lineality = _cone(homogenized, dim + 1)
+    if not any(r[-1] > 0 for r in rays):
         raise EmptyInput("halfspace intersection is infeasible")
     if lineality:
         raise UnboundedInput("constraint normals do not span the space")
     recession = [r[:-1] for r in rays if r[-1] == 0]
     if recession:
         raise UnboundedInput("recession direction found", direction=min(recession))
-    if _linalg.affine_rank(vertices) < dim:
-        raise LowerDimensional(
-            "intersection is not full-dimensional", rank=_linalg.affine_rank(vertices)
-        )
-    normals = [u for u, _ in rows]
-    return _assemble(dim, vertices, _facets_from_vertices(dim, vertices, normals))
+    # every ray is now a vertex; bit k + 1 of a mask is rows[k]
+    tight = _incidence(masks, range(1, len(rows) + 1))
+    if (1 << len(rays)) - 1 in tight:
+        # the affine rank of the vertices is the rank of their rays minus one
+        rank = dim - len(_cone(rays, dim + 1)[2])
+        raise LowerDimensional("intersection is not full-dimensional", rank=rank)
+    vertices = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays]
+    facets = [HalfSpace(*row) for row, keep in zip(rows, _maximal(tight)) if keep]
+    return _assemble(dim, vertices, facets)
 
 
 def from_vrep(points) -> Polytope:
@@ -255,29 +270,25 @@ def from_vrep(points) -> Polytope:
     if dim == 0:
         raise InvalidInput("points need at least one coordinate")
     pts = list(dict.fromkeys(pts))
-    if _linalg.affine_rank(pts) < dim:
-        raise LowerDimensional("convex hull is not full-dimensional")
 
     # the valid inequalities <x, u> <= b are the cone of (u, b) with
     # <q v, u> - q b <= 0 for each point v (q the lcm of its denominators);
-    # its extreme rays are the facets
+    # it has lineality exactly when the points lie on a hyperplane, and
+    # otherwise its extreme rays are the facets
     homogenized = []
     for p in pts:
         q = math.lcm(*(x.denominator for x in p))
         homogenized.append(tuple(int(x * q) for x in p) + (-q,))
-    rays, _ = _cone(homogenized, dim + 1)
+    rays, masks, lineality = _cone(homogenized, dim + 1)
+    if lineality:
+        raise LowerDimensional("convex hull is not full-dimensional")
     facets = []
     for r in rays:
         g = math.gcd(*r[:-1])
         facets.append(HalfSpace(tuple(c // g for c in r[:-1]), Fraction(r[-1], g)))
     facets.sort(key=lambda h: h.normal)
-    rows = [(h.normal, h.offset) for h in facets]
-    vertices = []
-    for p in pts:
-        tight = [u for u, b in rows if sum(c * x for c, x in zip(u, p)) == b]
-        if len(tight) >= dim and _linalg.rank(tight) == dim:
-            vertices.append(p)
-    return _assemble(dim, vertices, facets)
+    keep = _maximal(_incidence(masks, range(len(pts))))
+    return _assemble(dim, [p for p, k in zip(pts, keep) if k], facets)
 
 
 def from_json(obj: dict) -> Polytope:
@@ -288,9 +299,13 @@ def from_json(obj: dict) -> Polytope:
     hrep = obj.get("hrep")
     vrep = obj.get("vrep")
     dim = obj.get("dim")
+    if hrep and not (isinstance(hrep, list) and all(isinstance(h, dict) for h in hrep)):
+        raise InvalidInput("polytope JSON 'hrep' must be a list of objects")
+    if vrep and not isinstance(vrep, list):
+        raise InvalidInput("polytope JSON 'vrep' must be a list of points")
     if hrep:
         if dim is None:
-            dim = len(hrep[0]["normal"])
+            dim = len(parse_vector(hrep[0]["normal"]))
         poly = from_hrep([(h["normal"], h["offset"]) for h in hrep], int(dim))
         if vrep:
             given = sorted(parse_vector(v) for v in vrep)
@@ -318,7 +333,7 @@ def polar_dual(p: Polytope) -> Polytope:
             offsets=[h.offset for h in p.hrep],
         )
     vertices = [tuple(Fraction(c) / h.offset for c in h.normal) for h in p.hrep]
-    facets = [HalfSpace(*_linalg.primitive_integer_vector(v)) for v in p.vrep]
+    facets = [HalfSpace(*primitive_integer_vector(v)) for v in p.vrep]
     return _assemble(p.dim, vertices, sorted(facets, key=lambda h: h.normal))
 
 

@@ -40,6 +40,9 @@ def parse_rational(value) -> Fraction:
 
 
 def parse_vector(values: Sequence) -> tuple[Fraction, ...]:
+    """Parse a list or tuple of rationals; a string is refused, not split."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"not a vector: {values!r}")
     return tuple(parse_rational(v) for v in values)
 
 

@@ -181,6 +181,26 @@ class TestInputBoundary:
         assert obj["error"] == "InvalidInput"
         assert obj["message"] == "points need at least one coordinate"
 
+    @pytest.mark.parametrize(
+        "blob, error",
+        [
+            ('{"vrep": ["00", "20", "02"]}', "ValueError"),
+            ('{"hrep": [{"normal": "10", "offset": "1"}, {"normal": [-1, 0], "offset": "1"},'
+             ' {"normal": [0, 1], "offset": "1"}, {"normal": [0, -1], "offset": "1"}]}',
+             "ValueError"),
+            ('{"hrep": "abc"}', "InvalidInput"),
+            ('{"hrep": [[1, 0]]}', "InvalidInput"),
+            ('{"vrep": [1, 2]}', "ValueError"),
+        ],
+        ids=["string-points", "string-normal", "string-hrep", "list-hrep-entry", "number-points"],
+    )
+    def test_malformed_shapes(self, capsys, blob, error):
+        # strings are not vectors: "20" is not the point (2, 0)
+        code, out, err = run(capsys, "classify", "--in", blob)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == error
+
     def test_inline_array_is_json(self, capsys):
         code, _, err = run(capsys, "dual", "--in", "[1,2]")
         assert code == 1

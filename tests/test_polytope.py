@@ -5,9 +5,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_hull_from_hrep, brute_hull_from_vrep, brute_lattice_points
+from oracles import _rank, brute_hull_from_hrep, brute_hull_from_vrep, brute_lattice_points
+from reflexpoly import polytope as polytope_module
 from reflexpoly import (
     HalfSpace,
     count_lattice_points,
@@ -263,8 +264,6 @@ class TestLatticePoints:
         assert lattice_points(reflexive_triangle).count == 7
 
     def test_every_vertex_on_d_independent_facets(self, dual_fano_triangle, sym_square):
-        from reflexpoly._linalg import rank
-
         for p in (dual_fano_triangle, sym_square):
             for v in p.vrep:
                 tight = [
@@ -272,7 +271,7 @@ class TestLatticePoints:
                     for h in p.hrep
                     if sum(Fraction(c) * x for c, x in zip(h.normal, v)) == h.offset
                 ]
-                assert rank(tight) == p.dim
+                assert _rank(tight, p.dim) == p.dim
 
 
 class TestFourDimensional:
@@ -481,8 +480,30 @@ vrep_inputs = st.one_of(
 )
 
 
+def _box_rows(d, lo, hi):
+    return [
+        (tuple(s * int(i == j) for j in range(d)), b)
+        for i in range(d)
+        for s, b in ((-1, -lo), (1, hi))
+    ]
+
+
+def _cube(d, side):
+    return [tuple(side * ((k >> j) & 1) for j in range(d)) for k in range(1 << d)]
+
+
+def _midpoints(pairs):
+    return [tuple(Fraction(a + b, 2) for a, b in zip(v, w)) for v, w in pairs]
+
+
+# the fixed examples are weakly redundant rows, tight at one vertex or along
+# an edge, and non-vertex boundary points: edge midpoints, facet centroids
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(hrep_inputs(), degenerate_hrep_inputs()))
+@example((_box_rows(2, 0, 1) + [((1, 1), 2)], 2))
+@example((_box_rows(3, 0, 1) + [((1, 1, 0), 2)], 3))
+@example((_box_rows(3, -1, 1) + [((Fraction(1, 2), Fraction(-1, 2), 0), 1)], 3))
+@example((_box_rows(4, 0, 1) + [((1, 1, 1, 1), 4)], 4))
 def test_from_hrep_matches_oracle(args):
     rows, d = args
     assert _outcome(from_hrep, rows, d) == brute_hull_from_hrep(rows, d)
@@ -490,8 +511,28 @@ def test_from_hrep_matches_oracle(args):
 
 @settings(max_examples=60, deadline=None)
 @given(vrep_inputs)
+@example(_cube(2, 2) + _midpoints([((0, 0), (2, 0)), ((2, 0), (2, 2)), ((0, 2), (2, 2))]))
+@example([(0, 0), (3, 0), (0, 3), (1, 0), (2, 1), (0, Fraction(5, 2))])
+@example(_cube(3, 2) + _midpoints([((0, 0, 0), (2, 0, 0)), ((2, 2, 0), (2, 2, 2))]))
+@example(_cube(3, 2) + [(1, 1, 0), (1, 1, 2), (0, 1, 1), (2, 1, 1), (1, 0, 1), (1, 2, 1)])
+@example(_cube(4, 2) + [(1, 1, 1, 0), (2, 1, 1, 1), (1, 1, 0, 0), (1, 0, 2, 2)])
 def test_from_vrep_matches_oracle(pts):
     assert _outcome(from_vrep, pts) == brute_hull_from_vrep(pts)
+
+
+@pytest.mark.parametrize("d, r", [(d, r) for d in (3, 4) for r in range(d)])
+def test_lower_dimensional_rank(d, r):
+    """An r-dimensional box: x_0..x_{r-1} in [0, 1] and each later x_j pinned
+    to x_0 + ... + x_{r-1}, so that the flat is not a coordinate subspace."""
+    rows = _box_rows(r, 0, 1)
+    rows = [(u + (0,) * (d - r), b) for u, b in rows]
+    for j in range(r, d):
+        u = tuple(-int(i < r) + int(i == j) for i in range(d))
+        rows += [(u, 0), (tuple(-c for c in u), 0)]
+    with pytest.raises(LowerDimensional) as info:
+        from_hrep(rows, d)
+    assert info.value.context == {"rank": r}
+    assert brute_hull_from_hrep(rows, d) == ("LowerDimensional", info.value.message)
 
 
 @st.composite
@@ -612,3 +653,46 @@ def test_hull_at_desk_scale_caps():
             assert from_vrep(p.vrep) == p
     assert [(len(p.hrep), len(p.vrep)) for p, _ in hulls] == [(93, 52), (130, 37), (52, 237)]
     assert time.perf_counter() - start < 10
+
+
+class TestWorkCounts:
+    """Each hull conversion runs the cone routine once, and the polar dual
+    runs none: its facets and vertices are read off the known ones."""
+
+    @pytest.fixture
+    def cone_calls(self, monkeypatch):
+        calls = []
+        original = polytope_module._cone
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(polytope_module, "_cone", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: from_vrep(_sphere_cloud(1, 3, 64, 7)),
+            lambda: from_vrep(_sphere_cloud(2, 4, 40, 4)),
+            lambda: from_hrep(_sphere_halfspaces(3, 4, 54), 4),
+            lambda: from_vrep([(-1, 0), (0, -1), (2, 3)]),
+            lambda: from_hrep(_box_rows(4, -1, 1), 4),
+        ],
+        ids=["cap-3d-points", "cap-4d-points", "cap-4d-halfspaces", "triangle", "4-cube"],
+    )
+    def test_one_cone_per_hull_none_per_dual(self, cone_calls, build):
+        p = build()
+        assert len(cone_calls) == 1
+        if len(p.hrep) <= 64:
+            cone_calls.clear()
+            from_hrep([(h.normal, h.offset) for h in p.hrep], p.dim)
+            assert len(cone_calls) == 1
+        if len(p.vrep) <= 64:
+            cone_calls.clear()
+            from_vrep(p.vrep)
+            assert len(cone_calls) == 1
+        cone_calls.clear()
+        polar_dual(_center_at_origin(p))
+        assert cone_calls == []
