@@ -66,23 +66,6 @@ def compose_affine(coeffs: Sequence[Fraction], a, b) -> Poly:
     return acc
 
 
-def lagrange(xs: Sequence, ys: Sequence) -> Poly:
-    """The unique degree < len(xs) interpolant through (xs[i], ys[i])."""
-    if len(xs) != len(ys) or not xs:
-        raise ValueError("need equally many sample points and values")
-    result: Poly = (Fraction(0),)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis: Poly = (Fraction(1),)
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = mul(basis, (-Fraction(xj), Fraction(1)))
-            denom *= Fraction(xi) - Fraction(xj)
-        result = add(result, scale(basis, Fraction(yi) / denom))
-    return result
-
-
 def format_poly(coeffs: Sequence[Fraction], var: str = "n") -> str:
     """Human rendering in descending powers, rationals as p/q."""
     from .rationals import format_rational

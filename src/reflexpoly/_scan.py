@@ -1,27 +1,34 @@
 """Integer lattice scans: the hot loop behind every lattice-point count.
 
-A scan finds the integer points x of a box [lo, hi] with q_i * <x, u_i> <= p_i
-(strictly, when requested) for every facet (u_i, p_i/q_i).  It enumerates
+A scan finds the integer points x of a box [lo, hi] with
+q_i * <x, u_i> <= n * p_i (strictly, when requested) for every facet
+(u_i, p_i/q_i), so the integer points of the dilation nP.  It enumerates
 only the first d-1 box coordinates.  Over each such prefix x' the facets cut
 the last axis down to one interval, the fiber, solved exactly by floor
 division, with c_i the last entry of u_i and u_i' the others:
 
-    R_i = p_i - q_i * <u_i', x'>      (p_i - 1 for a strict scan)
+    R_i = n * p_i - q_i * <u_i', x'>      (n * p_i - 1 for a strict scan)
     q_i c_i > 0:  x_d <= R_i // (q_i c_i)
     q_i c_i < 0:  x_d >= -(R_i // -(q_i c_i))
     c_i = 0:      the prefix is kept only when R_i >= 0
 
-A count sums the fiber lengths; a collect emits each fiber as one run, so
-points come out in lexicographic order.  The one algorithm runs at two
-integer widths, the backends:
+One call scans a batch of dilations of the same facets, each (n, box) in
+turn: every prefix is tagged with the index of its dilation, and the chunks
+of prefixes run across the whole batch, so the numpy set-up is paid once per
+batch, not once per dilation.  A count sums the fiber lengths of each
+dilation; a collect (a batch of one) emits each fiber as one run, so points
+come out in lexicographic order.  The one algorithm runs at two integer
+widths, the backends:
 
   * "numpy"  - int64 arrays, the default;
   * "python" - arrays of Python big ints, always exact.
 
-A conservative bound check (``_int64_safe``) routes any scan that could
-overflow int64 to the python width.  Select explicitly with the env flag
-REFLEX_SCAN=numpy|python.  The enumeration budget that callers apply
-(``polytope.enumeration_budget``) still counts box points, not fibers.
+A conservative bound check (``_int64_safe``) runs once per batch, on its
+envelope: the smallest box holding every box of the batch, with the offsets
+of its largest dilation.  If it fails, the whole batch runs at the python
+width.  Select explicitly with the env flag REFLEX_SCAN=numpy|python.  The
+enumeration budget that callers apply (``polytope.enumeration_budget``)
+still counts box points, not fibers.
 """
 
 from __future__ import annotations
@@ -98,44 +105,68 @@ def default_backend_name() -> str:
 # -- the fiber algorithm -----------------------------------------------------
 
 
-def _fibers(lo, hi, normals, nums, dens, strict, dtype):
-    """Yield (prefixes, first, last) for each chunk of box prefixes, in C
-    order: the prefixes whose fiber is non-empty, with its last-axis ends."""
-    if _box_volume(lo, hi) == 0:
+def _fibers(batch, normals, nums, dens, strict, dtype):
+    """Yield (index, prefixes, first, last) for each chunk of prefixes of a
+    batch of (n, lo, hi) scans, scan after scan and each in C order: the
+    prefixes whose fiber is non-empty, the batch index of the scan each
+    belongs to, and the fiber's last-axis ends.  A chunk holds _CHUNK // w
+    prefixes, w the widest last axis of the batch, so at most _CHUNK box
+    points."""
+    live = [(i, n, lo, hi) for i, (n, lo, hi) in enumerate(batch) if _box_volume(lo, hi)]
+    if not live:
         return
-    d = len(lo)
+    index, n, lo, hi = zip(*live)
+    index = np.array(index)
+    n, lo, hi = (np.array(col, dtype=dtype) for col in (n, lo, hi))
+    wid = hi - lo + 1
+    d = lo.shape[1]
     A = np.array(normals, dtype=dtype).reshape(len(normals), d)
     q = np.array(dens, dtype=dtype)
-    p = np.array(nums, dtype=dtype) - int(strict)
+    # row s holds each facet's n * p_i for scan s, less 1 when strict
+    offsets = n[:, None] * np.array(nums, dtype=dtype) - int(strict)
     qc = q * A[:, -1]
     qA = A[:, :-1] * q[:, None]
     up, down, flat = qc > 0, qc < 0, qc == 0
-    wid = [b - a + 1 for a, b in zip(lo, hi)]
-    n_prefix = math.prod(wid[:-1])
-    step = max(1, _CHUNK // wid[-1])
-    for start in range(0, n_prefix, step):
-        t = np.arange(start, min(start + step, n_prefix), dtype=dtype)
+    # scan s owns the prefixes ends[s-1] <= t < ends[s] of the whole batch
+    sizes = [math.prod(int(w) for w in row[:-1]) for row in wid]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    floor, ceiling = lo[:, -1].min(), hi[:, -1].max()
+    step = max(1, _CHUNK // int(wid[:, -1].max()))
+    for start in range(0, int(ends[-1]), step):
+        t = np.arange(start, min(start + step, int(ends[-1])))
+        s = np.searchsorted(ends, t, side="right")
+        t = (t - starts[s]).astype(dtype)
         x = np.empty((len(t), d - 1), dtype=dtype)
         for j in range(d - 2, -1, -1):
-            x[:, j] = lo[j] + t % wid[j]
-            t = t // wid[j]
-        R = p - x @ qA.T
-        first = np.max(-(R[:, down] // -qc[down]), axis=1, initial=lo[-1])
-        last = np.min(R[:, up] // qc[up], axis=1, initial=hi[-1])
+            x[:, j] = lo[s, j] + t % wid[s, j]
+            t = t // wid[s, j]
+        R = offsets[s] - x @ qA.T
+        first = np.max(-(R[:, down] // -qc[down]), axis=1, initial=floor)
+        last = np.min(R[:, up] // qc[up], axis=1, initial=ceiling)
+        first, last = np.maximum(first, lo[s, -1]), np.minimum(last, hi[s, -1])
         keep = (first <= last) & (R[:, flat] >= 0).all(axis=1)
-        yield x[keep], first[keep], last[keep]
+        yield index[s[keep]], x[keep], first[keep], last[keep]
 
 
-def _count(lo, hi, normals, nums, dens, strict, dtype) -> int:
-    return sum(
-        int((last - first).sum()) + len(first)
-        for _, first, last in _fibers(lo, hi, normals, nums, dens, strict, dtype)
-    )
+def _count(batch, normals, nums, dens, strict, dtype) -> list[int]:
+    counts = [0] * len(batch)
+    for index, _, first, last in _fibers(batch, normals, nums, dens, strict, dtype):
+        if not len(index):
+            continue
+        # running totals of fiber lengths, read where each scan's run ends
+        total = np.cumsum(last - first + 1)
+        stop = np.append(np.flatnonzero(index[1:] != index[:-1]), len(index) - 1)
+        before = 0
+        for i, t in zip(index[stop].tolist(), total[stop].tolist()):
+            counts[i] += t - before
+            before = t
+    return counts
 
 
 def _collect(lo, hi, normals, nums, dens, strict, dtype) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
-    for x, first, last in _fibers(lo, hi, normals, nums, dens, strict, dtype):
+    for _, x, first, last in _fibers([(1, lo, hi)], normals, nums, dens, strict, dtype):
         n = (last - first + 1).astype(np.int64)
         pts = np.empty((int(n.sum()), len(lo)), dtype=dtype)
         pts[:, :-1] = np.repeat(x, n, axis=0)
@@ -160,7 +191,7 @@ def backend_count(name, lo, hi, normals, offsets, strict=False) -> int:
     """Count scan on an explicitly named backend (used by tests)."""
     nums, dens = _split_offsets(offsets)
     dtype = _named_dtype(name, lo, hi, normals, nums, dens)
-    return _count(lo, hi, normals, nums, dens, strict, dtype)
+    return _count([(1, lo, hi)], normals, nums, dens, strict, dtype)[0]
 
 
 def backend_collect(name, lo, hi, normals, offsets, strict=False) -> list[tuple[int, ...]]:
@@ -170,10 +201,18 @@ def backend_collect(name, lo, hi, normals, offsets, strict=False) -> list[tuple[
     return _collect(lo, hi, normals, nums, dens, strict, dtype)
 
 
+def scan_counts(batch, normals, nums, dens, strict=False) -> list[int]:
+    """The count of each (n, lo, hi) scan of the batch, in one kernel call:
+    the integer points x of [lo, hi] with q_i <x, u_i> <= n p_i."""
+    lo = tuple(map(min, zip(*(lo for _, lo, _ in batch))))
+    hi = tuple(map(max, zip(*(hi for _, _, hi in batch))))
+    top = max(n for n, _, _ in batch)
+    dtype = _DTYPES[resolve_backend(lo, hi, normals, [top * p for p in nums], dens)]
+    return _count(batch, normals, nums, dens, strict, dtype)
+
+
 def scan_count(lo, hi, normals, offsets, strict=False) -> int:
-    nums, dens = _split_offsets(offsets)
-    dtype = _DTYPES[resolve_backend(lo, hi, normals, nums, dens)]
-    return _count(lo, hi, normals, nums, dens, strict, dtype)
+    return scan_counts([(1, lo, hi)], normals, *_split_offsets(offsets), strict)[0]
 
 
 def scan_collect(lo, hi, normals, offsets, strict=False) -> list[tuple[int, ...]]:

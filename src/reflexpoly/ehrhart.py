@@ -1,21 +1,25 @@
 """Lattice-count sequences, quasi-polynomial reconstruction, and the
 reciprocity / symmetry criteria built on them.
 
-The dilation counter L(n) = #(nP meet Z^d) is evaluated by exact scans.  The
-quasi-polynomial is reconstructed per residue class mod the lcm of vertex
-denominators, validated on held-out counts, then reduced to its minimal
-period, so ``period == 1`` is a decided property, not a heuristic.
+The dilation counter L(n) = #(nP meet Z^d) is evaluated by exact scans of
+the polytope's integer form.  The quasi-polynomial is reconstructed per
+residue class r mod T, the lcm of vertex denominators, from the counts at
+the equally spaced nodes r + kT, k = 0..2d, all taken in one batched scan.
+The first d+1 counts give the Newton form by integer finite differences; the
+other d are held out and must equal the Newton form's integer values there.
+The constituents are then reduced to the minimal period, so ``period == 1``
+is a decided property, not a heuristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, factorial
 
 from . import _poly
 from .errors import InternalInconsistency, PeriodNotOne, ValidationFailed
-from .polytope import Polytope, count_lattice_points, dilate
+from .polytope import Polytope, count_dilations, vertex_denominator_lcm
 from .rationals import format_rational, parse_rational
 
 
@@ -95,14 +99,14 @@ def count(p: Polytope, n: int, budget: int | None = None) -> int:
         raise ValueError("count is defined for n >= 0; use evaluate for negatives")
     if n == 0:
         return 1
-    return count_lattice_points(dilate(p, n), strict=False, budget=budget)
+    return count_dilations(p, [n], budget=budget)[0]
 
 
 def count_interior(p: Polytope, n: int, budget: int | None = None) -> int:
     """#(int(nP) meet Z^d) for n >= 1."""
     if n < 1:
         raise ValueError("interior count is defined for n >= 1")
-    return count_lattice_points(dilate(p, n), strict=True, budget=budget)
+    return count_dilations(p, [n], strict=True, budget=budget)[0]
 
 
 def count_sequence(p: Polytope, n_max: int, budget: int | None = None) -> CountSequence:
@@ -112,42 +116,22 @@ def count_sequence(p: Polytope, n_max: int, budget: int | None = None) -> CountS
     )
 
 
-def vertex_denominator_lcm(p: Polytope) -> int:
-    out = 1
-    for v in p.vrep:
-        for c in v:
-            out = lcm(out, c.denominator)
-    return out
-
-
 def ehrhart_quasi_polynomial(p: Polytope, budget: int | None = None) -> QuasiPolynomial:
     """Reconstruct the counting quasi-polynomial of p.
 
     For each residue r mod T (T = lcm of vertex coordinate denominators, a
-    period bound) the degree-<=d constituent is interpolated from d+1 counts
-    and validated on d held-out counts; any mismatch aborts, since it would
-    mean the kernel counted wrong.  The period is then minimized.
+    period bound) the counts at n = r + kT, k = 0..2d, come from one batched
+    scan over all residues.  The degree-<=d constituent is fixed by the
+    first d+1 of them, and each of the d held-out counts must equal its
+    Newton-form value; any mismatch aborts, since it would mean the kernel
+    counted wrong.  The period is then minimized.
     """
     d = p.dim
     T = vertex_denominator_lcm(p)
-    constituents = []
-    for r in range(T):
-        xs = [r + k * T for k in range(d + 1)]
-        ys = [count(p, n, budget) for n in xs]
-        poly = _poly.lagrange(xs, ys)
-        for k in range(d + 1, 2 * d + 1):
-            n = r + k * T
-            expected = count(p, n, budget)
-            got = _poly.evaluate(poly, n)
-            if got != expected:
-                raise ValidationFailed(
-                    "interpolant disagrees with a held-out count",
-                    residue=r,
-                    n=n,
-                    interpolated=got,
-                    counted=expected,
-                )
-        constituents.append(poly)
+    m = 2 * d + 1  # nodes per residue
+    nodes = [r + k * T for r in range(T) for k in range(m)]
+    counts = [1] + count_dilations(p, nodes[1:], budget=budget)  # nodes[0] is n = 0
+    constituents = [_constituent(r, T, d, counts[r * m : r * m + m]) for r in range(T)]
     qp = QuasiPolynomial.from_constituents(constituents)
     if qp.degree != d:
         raise ValidationFailed(
@@ -156,6 +140,40 @@ def ehrhart_quasi_polynomial(p: Polytope, budget: int | None = None) -> QuasiPol
             dim=d,
         )
     return qp
+
+
+def _constituent(r: int, T: int, d: int, ys: list[int]) -> list[Fraction]:
+    """The degree-<=d polynomial through (r + kT, ys[k]) for k <= d, checked
+    against ys[k] for d < k <= 2d.
+
+    With Newton coefficients a_j = (forward difference)^j ys[0], the value at
+    node k is sum_j C(k, j) a_j, an integer, and the polynomial in n is
+    sum_j a_j prod_{i<j} (n - r - iT) / (j! T^j), put over d! T^d.
+    """
+    newton, row = [], ys[: d + 1]
+    for _ in range(d + 1):
+        newton.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    for k in range(d + 1, 2 * d + 1):
+        got = sum(comb(k, j) * a for j, a in enumerate(newton))
+        if got != ys[k]:
+            raise ValidationFailed(
+                "interpolant disagrees with a held-out count",
+                residue=r,
+                n=r + k * T,
+                interpolated=Fraction(got),
+                counted=ys[k],
+            )
+    coeffs = [0] * (d + 1)
+    basis = [1]  # prod_{i<j} (n - r - iT), lowest power first
+    for j, a in enumerate(newton):
+        weight = a * (factorial(d) // factorial(j)) * T ** (d - j)
+        for i, c in enumerate(basis):
+            coeffs[i] += weight * c
+        root = r + j * T
+        basis = [x - root * y for x, y in zip([0] + basis, basis + [0])]
+    denominator = factorial(d) * T**d
+    return [Fraction(c, denominator) for c in coeffs]
 
 
 def evaluate(q: QuasiPolynomial, n: int) -> Fraction:

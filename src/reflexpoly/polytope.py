@@ -27,11 +27,12 @@ REFLEX_BUDGET).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _scan
 from .errors import (
@@ -75,11 +76,44 @@ class LatticePointSet:
     count: int
 
 
+class _IntegerForm(NamedTuple):
+    """A polytope's scan data in integers: facet i is q_i <x, u_i> <= p_i,
+    and on axis j the vertex coordinates span [lo_j / L, hi_j / L], with L
+    the lcm of all vertex-coordinate denominators."""
+
+    normals: tuple[tuple[int, ...], ...]
+    nums: tuple[int, ...]
+    dens: tuple[int, ...]
+    denominator: int
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+
+    def box(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The integer bounding box of the dilation nP, n >= 1."""
+        L = self.denominator
+        return tuple(-(-n * a // L) for a in self.lo), tuple(n * b // L for b in self.hi)
+
+
 @dataclass(frozen=True)
 class Polytope:
     dim: int
     hrep: tuple[HalfSpace, ...]
     vrep: tuple[tuple[Fraction, ...], ...]
+
+    @functools.cached_property
+    def _integer_form(self) -> _IntegerForm:
+        """Built once per polytope; a cached property is not a field, so
+        equality, hashing, repr and JSON do not see it."""
+        L = math.lcm(*(c.denominator for v in self.vrep for c in v))
+        axes = [[c.numerator * (L // c.denominator) for c in col] for col in zip(*self.vrep)]
+        return _IntegerForm(
+            normals=tuple(h.normal for h in self.hrep),
+            nums=tuple(h.offset.numerator for h in self.hrep),
+            dens=tuple(h.offset.denominator for h in self.hrep),
+            denominator=L,
+            lo=tuple(map(min, axes)),
+            hi=tuple(map(max, axes)),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -303,10 +337,12 @@ def from_json(obj: dict) -> Polytope:
         raise InvalidInput("polytope JSON 'hrep' must be a list of objects")
     if vrep and not isinstance(vrep, list):
         raise InvalidInput("polytope JSON 'vrep' must be a list of points")
+    if dim is not None and (isinstance(dim, bool) or not isinstance(dim, int)):
+        raise InvalidInput("polytope JSON 'dim' must be an integer", dim=dim)
     if hrep:
         if dim is None:
             dim = len(parse_vector(hrep[0]["normal"]))
-        poly = from_hrep([(h["normal"], h["offset"]) for h in hrep], int(dim))
+        poly = from_hrep([(h["normal"], h["offset"]) for h in hrep], dim)
         if vrep:
             given = sorted(parse_vector(v) for v in vrep)
             if tuple(given) != poly.vrep:
@@ -314,7 +350,7 @@ def from_json(obj: dict) -> Polytope:
         return poly
     if vrep:
         poly = from_vrep(vrep)
-        if dim is not None and poly.dim != int(dim):
+        if dim is not None and poly.dim != dim:
             raise InvalidInput("dim field does not match vertex length")
         return poly
     raise InvalidInput("polytope JSON needs 'hrep' or 'vrep'")
@@ -386,10 +422,14 @@ def normal_fan_rays(p: Polytope) -> list[tuple[tuple[int, ...], Fraction]]:
 # -- lattice points --------------------------------------------------------------
 
 
+def vertex_denominator_lcm(p: Polytope) -> int:
+    """The lcm of all vertex-coordinate denominators, a period of the
+    lattice-point counting quasi-polynomial."""
+    return p._integer_form.denominator
+
+
 def integer_bounding_box(p: Polytope) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    lo = tuple(math.ceil(min(v[j] for v in p.vrep)) for j in range(p.dim))
-    hi = tuple(math.floor(max(v[j] for v in p.vrep)) for j in range(p.dim))
-    return lo, hi
+    return p._integer_form.box(1)
 
 
 def _scan_args(p: Polytope):
@@ -418,10 +458,23 @@ def lattice_points(p: Polytope, strict: bool = False, budget: int | None = None)
 
 def count_lattice_points(p: Polytope, strict: bool = False, budget: int | None = None) -> int:
     """Like lattice_points but without materializing the point list."""
-    lo, hi = integer_bounding_box(p)
-    _check_budget(lo, hi, budget)
-    normals, offsets = _scan_args(p)
-    return _scan.scan_count(lo, hi, normals, offsets, strict)
+    return count_dilations(p, [1], strict, budget)[0]
+
+
+def count_dilations(
+    p: Polytope, ns: Sequence[int], strict: bool = False, budget: int | None = None
+) -> list[int]:
+    """#(nP meet Z^d) (strict: of its interior) for each n >= 1 of ns, in one
+    scan of the integer form.  Every box is checked against the budget, in
+    the order of ns, before any is scanned."""
+    form = p._integer_form
+    limit = enumeration_budget(budget)
+    batch = []
+    for n in ns:
+        lo, hi = form.box(n)
+        _check_budget(lo, hi, limit)
+        batch.append((n, lo, hi))
+    return _scan.scan_counts(batch, form.normals, form.nums, form.dens, strict)
 
 
 def count_in_box(halfspaces, lo, hi, strict: bool = False, budget: int | None = None) -> int:

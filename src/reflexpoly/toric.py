@@ -25,7 +25,7 @@ from .polytope import (
     normal_fan_rays,
     round_up,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, parse_vector
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,18 @@ class ToricDivisorData:
     def from_json(cls, obj: dict) -> "ToricDivisorData":
         if not isinstance(obj, dict):
             raise InvalidInput("divisor JSON must be an object")
-        rays = tuple(tuple(int(c) for c in r) for r in obj["rays"])
+        rays = tuple(_parse_ray(r) for r in obj["rays"])
         coeffs = tuple(parse_rational(c) for c in obj["coefficients"])
         return cls(FanRays(rays), coeffs)
+
+
+def _parse_ray(value) -> tuple[int, ...]:
+    """A ray as a list of integers: a string is not split into digits, and a
+    float or a fraction is refused rather than truncated."""
+    vec = parse_vector(value)
+    if any(c.denominator != 1 for c in vec):
+        raise InvalidInput("fan rays must be integer vectors", ray=vec)
+    return tuple(int(c) for c in vec)
 
 
 def divisor_from_polytope(p: Polytope) -> ToricDivisorData:

@@ -13,11 +13,18 @@ import math
 from fractions import Fraction
 
 
-def brute_lattice_points(poly, n=1, strict=False) -> list[tuple[int, ...]]:
-    """Integer points of the n-th dilation by direct membership testing."""
+def brute_box(poly, n=1) -> tuple[list[int], list[int]]:
+    """The integer bounding box of the n-th dilation, from its vertices."""
     n = Fraction(n)
     los = [math.ceil(n * min(v[j] for v in poly.vrep)) for j in range(poly.dim)]
     his = [math.floor(n * max(v[j] for v in poly.vrep)) for j in range(poly.dim)]
+    return los, his
+
+
+def brute_lattice_points(poly, n=1, strict=False) -> list[tuple[int, ...]]:
+    """Integer points of the n-th dilation by direct membership testing."""
+    los, his = brute_box(poly, n)
+    n = Fraction(n)
     found = []
     for x in itertools.product(*[range(a, b + 1) for a, b in zip(los, his)]):
         ok = True

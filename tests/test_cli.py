@@ -201,6 +201,35 @@ class TestInputBoundary:
         assert out == ""
         assert json.loads(err)["error"] == error
 
+    @pytest.mark.parametrize(
+        "rays, error",
+        [
+            (["10", "01", [-1, -1]], "ValueError"),
+            ([[1.9, 0], [0, 1], [-1, -1]], "ValueError"),
+            ([["1/2", 0], [0, 1], [-1, -1]], "InvalidInput"),
+        ],
+        ids=["string-rays", "float-ray", "fraction-ray"],
+    )
+    def test_divisor_rays_must_be_integer_vectors(self, capsys, rays, error):
+        # "10" is not the ray (1, 0), and 1.9 is not truncated to 1
+        blob = json.dumps({"rays": rays, "coefficients": ["1", "1", "1"]})
+        code, out, err = run(capsys, "toric", "--from-divisor", "--in", blob)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize("dim", [[1], {"d": 1}, "1", 1.0, True])
+    def test_dim_must_be_an_integer(self, capsys, dim):
+        for shape in ({"vrep": [["0"], ["1"]]}, {"hrep": [{"normal": [1], "offset": "1"},
+                                                         {"normal": [-1], "offset": "0"}]}):
+            blob = json.dumps({"dim": dim, **shape})
+            code, out, err = run(capsys, "dual", "--in", blob)
+            assert code == 1
+            assert out == ""
+            obj = json.loads(err)
+            assert obj["error"] == "InvalidInput"
+            assert obj["message"] == "polytope JSON 'dim' must be an integer"
+
     def test_inline_array_is_json(self, capsys):
         code, _, err = run(capsys, "dual", "--in", "[1,2]")
         assert code == 1

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_count, euclidean_volume
+from oracles import brute_box, brute_count, euclidean_volume
 from reflexpoly import (
     QuasiPolynomial,
     count,
@@ -21,6 +22,8 @@ from reflexpoly import (
     round_down,
     round_up,
 )
+from reflexpoly.ehrhart import vertex_denominator_lcm
+from reflexpoly.polytope import integer_bounding_box
 from reflexpoly.errors import (
     CollapsedPolytope,
     LowerDimensional,
@@ -238,15 +241,50 @@ def test_validation_guard_aborts_on_bad_counts(reflexive_triangle, monkeypatch):
     # return rather than hand back a quasi-polynomial that disagrees
     import reflexpoly.ehrhart as eh
 
-    real_count = eh.count
+    real_counts = eh.count_dilations
 
-    def corrupted(p, n, budget=None):
-        value = real_count(p, n, budget)
-        return value + 1 if n == 4 else value  # n=4 is a validation sample (d=2, T=1)
+    def corrupted(p, ns, strict=False, budget=None):
+        values = real_counts(p, ns, strict, budget)
+        # n=4 is a validation sample (d=2, T=1)
+        return [c + 1 if n == 4 else c for n, c in zip(ns, values)]
 
-    monkeypatch.setattr(eh, "count", corrupted)
-    with pytest.raises(ValidationFailed):
+    monkeypatch.setattr(eh, "count_dilations", corrupted)
+    with pytest.raises(ValidationFailed) as info:
         eh.ehrhart_quasi_polynomial(reflexive_triangle)
+    assert info.value.payload()["context"] == {
+        "residue": 0,
+        "n": 4,
+        "interpolated": "61",
+        "counted": 62,
+    }
+
+
+@pytest.mark.parametrize(
+    "points, budget, box",
+    [
+        # box widths of nP for n = 1..4 are 0, 1, 2, 1: not monotone in n
+        ([(Fraction(1, 3),), (Fraction(2, 3),)], 0, 2),
+        ([(Fraction(1, 3),), (Fraction(2, 3),)], 1, 2),
+        ([(Fraction(1, 3),), (Fraction(2, 3),)], 2, 3),
+        ([(Fraction(1, 3), Fraction(1, 3)), (Fraction(2, 3), Fraction(1, 3)),
+          (Fraction(1, 3), Fraction(2, 3))], 10, 16),
+        # T = 2: n = 8 of residue 0 is over budget before n = 9 of residue 1
+        ([(Fraction(-1, 2), Fraction(-1, 2)), (Fraction(3, 2), Fraction(-1, 2)),
+          (Fraction(-1, 2), Fraction(1))], 200, 221),
+        ([(0, 0, 0), (Fraction(3, 2), 0, 0), (0, Fraction(1, 2), 0), (0, 0, 1)], 1500, 1729),
+    ],
+    ids=["segment-0", "segment-1", "segment-2", "triangle-off-origin", "half-triangle", "tetrahedron"],
+)
+def test_scale_exceeded_names_the_first_box_over_budget(points, budget, box):
+    # the box and budget of the first node over budget, visiting residues in
+    # order and each residue's nodes by increasing n, as the per-node counts did
+    with pytest.raises(ScaleExceeded) as info:
+        ehrhart_quasi_polynomial(from_vrep(points), budget)
+    assert info.value.payload() == {
+        "error": "ScaleExceeded",
+        "message": "bounding box exceeds enumeration budget",
+        "context": {"box": box, "budget": budget},
+    }
 
 
 def test_oracle_agreement_on_dilations(dual_fano_triangle, half_segment):
@@ -279,3 +317,53 @@ def test_dilation_relation(pts, k):
         assert evaluate(qk, n) == evaluate(q, k * n)
         if n >= 0:
             assert count(kp, n) == count(p, k * n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_clouds, st.integers(1, 7))
+def test_budget_counts_the_bounding_box_of_the_dilation(pts, n):
+    # the box checked against the budget is the integer bounding box of nP
+    # read off its vertices, whatever the rounding of n * vertex
+    try:
+        p = from_vrep(pts)
+    except LowerDimensional:
+        return
+    lo, hi = brute_box(p, n)
+    assert integer_bounding_box(dilate(p, n)) == (tuple(lo), tuple(hi))
+    box = math.prod(max(0, b - a + 1) for a, b in zip(lo, hi))
+    if box == 0:
+        assert count(p, n, budget=0) == 0
+        return
+    for counter in (count, count_interior):
+        with pytest.raises(ScaleExceeded) as info:
+            counter(p, n, budget=box - 1)
+        assert info.value.context == {"box": box, "budget": box - 1}
+
+
+def _cloud(coordinate, dim, sizes):
+    return st.lists(st.tuples(*[coordinate] * dim), min_size=sizes[0], max_size=sizes[1])
+
+
+oracle_clouds = st.one_of(
+    _cloud(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)), 1, (2, 2)),
+    _cloud(st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)), 2, (3, 4)),
+    _cloud(st.builds(Fraction, st.integers(0, 2), st.just(2)), 3, (4, 5)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_clouds)
+def test_quasi_polynomial_matches_brute_force(pts):
+    """Checked against the brute-force oracle alone, never count or
+    count_interior: q at the first node past the validated range, and
+    reciprocity (-1)^d q(-n) = #(int(nP) meet Z^d) for n = 1, 2."""
+    try:
+        p = from_vrep(pts)
+    except LowerDimensional:
+        return
+    q = ehrhart_quasi_polynomial(p)
+    d, T = p.dim, vertex_denominator_lcm(p)
+    n = (2 * d + 1) * T
+    assert q.evaluate(n) == brute_count(p, n)
+    for n in (1, 2):
+        assert (-1) ** d * q.evaluate(-n) == brute_count(p, n, strict=True)

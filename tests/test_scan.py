@@ -112,6 +112,49 @@ def test_fiber_scan_matches_brute_force(scan):
             assert _scan.backend_count(b, *scan, strict) == len(ref)
 
 
+@st.composite
+def boundary_batches(draw):
+    """One facet system and 1-4 (n, box) scans of it; each box is drawn as
+    the boundary scans draw theirs, so boxes differ in width and position
+    and often cut the facets' solution set."""
+    draw_int = lambda a, b: draw(st.integers(a, b))  # noqa: E731
+    _, _, normals, offsets = first = _boundary_scan(draw_int)
+    d = len(first[0])
+    boxes = [first[:2]]
+    while len(boxes) < draw_int(1, 4):
+        lo, hi, _, _ = _boundary_scan(draw_int)
+        if len(lo) == d:
+            boxes.append((lo, hi))
+    return [(draw_int(1, 3), lo, hi) for lo, hi in boxes], normals, offsets
+
+
+@settings(max_examples=100, deadline=None)
+@given(boundary_batches())
+def test_batched_counts_match_brute_force(batch_case):
+    # one kernel call over several dilations and boxes counts each scan as
+    # a scan of its own would: points of [lo, hi] with <x, u> <= n * b
+    batch, normals, offsets = batch_case
+    nums, dens = _scan._split_offsets(offsets)
+    for strict in (False, True):
+        ref = [
+            len(brute_scan(lo, hi, normals, [n * b for b in offsets], strict))
+            for n, lo, hi in batch
+        ]
+        for dtype in _scan._DTYPES.values():
+            assert _scan._count(batch, normals, nums, dens, strict, dtype) == ref
+
+
+def test_batch_guard_reads_the_envelope():
+    # in each batch only the second scan would overflow int64: the guard
+    # must see the largest n * p_i, the largest and the smallest coordinate
+    large_n = [(1, (0,), (3,)), (8, (0,), (3,))]
+    assert _scan.scan_counts(large_n, ((1,),), (2**60,), (1,)) == [4, 4]
+    far_up = [(1, (0, 0), (1, 1)), (1, (2**62, 0), (2**62, 1))]
+    assert _scan.scan_counts(far_up, ((4, 1),), (5,), (1,)) == [4, 0]
+    far_down = [(1, (0, 0), (1, 1)), (1, (-(2**62), 0), (-(2**62), 1))]
+    assert _scan.scan_counts(far_down, ((-4, 1),), (5,), (1,)) == [4, 0]
+
+
 def test_boundary_scans_separate_strict_from_closed():
     # the strategy above must keep putting lattice points on facets: a random
     # sample of it has to contain many scans whose strict and closed counts
