@@ -23,10 +23,13 @@ widths, the backends:
   * "numpy"  - int64 arrays, the default;
   * "python" - arrays of Python big ints, always exact.
 
-A conservative bound check (``_int64_safe``) runs once per batch, on its
-envelope: the smallest box holding every box of the batch, with the offsets
-of its largest dilation.  If it fails, the whole batch runs at the python
-width.  Select explicitly with the env flag REFLEX_SCAN=numpy|python.  The
+Both entry points, ``scan_counts`` (a batch) and ``scan_collect`` (one
+box), take the facets as integer rows (u_i, p_i, q_i) and pick the width
+once per call, in ``resolve_backend``: a conservative bound check
+(``_int64_safe``) runs on the batch's envelope, the smallest box holding
+every box, with the offsets of its largest dilation; if it fails, the whole
+call runs at the python width.  REFLEX_SCAN=python forces the python width;
+REFLEX_SCAN=numpy cannot force int64 onto a scan that fails the check.  The
 enumeration budget that callers apply (``polytope.enumeration_budget``)
 still counts box points, not fibers.
 """
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import math
 import os
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -43,15 +45,6 @@ import numpy as np
 _INT64_LIMIT = 2**62
 _CHUNK = 1 << 17  # box points per chunk of prefixes, bounding transient memory
 _DTYPES = {"numpy": np.int64, "python": object}
-
-
-def _split_offsets(offsets: Sequence[Fraction]) -> tuple[list[int], list[int]]:
-    nums, dens = [], []
-    for b in offsets:
-        b = Fraction(b)
-        nums.append(b.numerator)
-        dens.append(b.denominator)
-    return nums, dens
 
 
 def _box_volume(lo: Sequence[int], hi: Sequence[int]) -> int:
@@ -86,20 +79,25 @@ def _int64_safe(lo, hi, normals, nums, dens) -> bool:
     return True
 
 
-def resolve_backend(lo, hi, normals, nums, dens) -> str:
-    """Pick the backend for this scan, honoring REFLEX_SCAN and exactness."""
+def resolve_backend(batch, normals, nums, dens) -> str:
+    """The width of one scan call: python when REFLEX_SCAN=python or when
+    the batch's envelope fails the int64 guard, else numpy (so
+    REFLEX_SCAN=numpy cannot force int64 onto an unsafe scan)."""
     choice = os.environ.get("REFLEX_SCAN", "").strip().lower()
     if choice not in ("", "auto", "numpy", "python"):
         raise ValueError(f"REFLEX_SCAN must be numpy|python, got {choice!r}")
-    if choice == "python" or not _int64_safe(lo, hi, normals, nums, dens):
+    lo = tuple(map(min, zip(*(lo for _, lo, _ in batch))))
+    hi = tuple(map(max, zip(*(hi for _, _, hi in batch))))
+    top = max((n for n, _, _ in batch), default=0)
+    if choice == "python" or not _int64_safe(lo, hi, normals, [top * p for p in nums], dens):
         return "python"
     return "numpy"
 
 
 def default_backend_name() -> str:
     """The backend resolve_backend picks for any scan that fits int64."""
-    # a zero-dimensional scan always passes the int64 guard
-    return resolve_backend((), (), (), (), ())
+    # an empty batch always passes the int64 guard
+    return resolve_backend([], (), (), ())
 
 
 # -- the fiber algorithm -----------------------------------------------------
@@ -179,43 +177,14 @@ def _collect(lo, hi, normals, nums, dens, strict, dtype) -> list[tuple[int, ...]
 # -- public entry points -----------------------------------------------------
 
 
-def _named_dtype(name, lo, hi, normals, nums, dens):
-    if name not in _DTYPES:
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numpy" and not _int64_safe(lo, hi, normals, nums, dens):
-        raise OverflowError("scan does not fit int64; use the python backend")
-    return _DTYPES[name]
-
-
-def backend_count(name, lo, hi, normals, offsets, strict=False) -> int:
-    """Count scan on an explicitly named backend (used by tests)."""
-    nums, dens = _split_offsets(offsets)
-    dtype = _named_dtype(name, lo, hi, normals, nums, dens)
-    return _count([(1, lo, hi)], normals, nums, dens, strict, dtype)[0]
-
-
-def backend_collect(name, lo, hi, normals, offsets, strict=False) -> list[tuple[int, ...]]:
-    """Point-collecting scan on an explicitly named backend (lex order)."""
-    nums, dens = _split_offsets(offsets)
-    dtype = _named_dtype(name, lo, hi, normals, nums, dens)
-    return _collect(lo, hi, normals, nums, dens, strict, dtype)
-
-
 def scan_counts(batch, normals, nums, dens, strict=False) -> list[int]:
     """The count of each (n, lo, hi) scan of the batch, in one kernel call:
     the integer points x of [lo, hi] with q_i <x, u_i> <= n p_i."""
-    lo = tuple(map(min, zip(*(lo for _, lo, _ in batch))))
-    hi = tuple(map(max, zip(*(hi for _, _, hi in batch))))
-    top = max(n for n, _, _ in batch)
-    dtype = _DTYPES[resolve_backend(lo, hi, normals, [top * p for p in nums], dens)]
+    dtype = _DTYPES[resolve_backend(batch, normals, nums, dens)]
     return _count(batch, normals, nums, dens, strict, dtype)
 
 
-def scan_count(lo, hi, normals, offsets, strict=False) -> int:
-    return scan_counts([(1, lo, hi)], normals, *_split_offsets(offsets), strict)[0]
-
-
-def scan_collect(lo, hi, normals, offsets, strict=False) -> list[tuple[int, ...]]:
-    nums, dens = _split_offsets(offsets)
-    dtype = _DTYPES[resolve_backend(lo, hi, normals, nums, dens)]
+def scan_collect(lo, hi, normals, nums, dens, strict=False) -> list[tuple[int, ...]]:
+    """The integer points x of [lo, hi] with q_i <x, u_i> <= p_i, in lex order."""
+    dtype = _DTYPES[resolve_backend([(1, lo, hi)], normals, nums, dens)]
     return _collect(lo, hi, normals, nums, dens, strict, dtype)

@@ -169,15 +169,25 @@ def _cmd_toric(args) -> int:
     return 0
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _cmd_flag(args) -> int:
     if args.infile:
         query = _load_json_arg(args.infile)
         if not isinstance(query, dict):
             raise InvalidInput("flag query JSON must be an object")
-        type_label = query["type"]
-        rank = int(query["rank"])
-        excluded = tuple(int(i) for i in query["excluded_simples"])
-        lam = tuple(int(c) for c in query["lambda"])
+        type_label, rank = query["type"], query["rank"]
+        excluded, lam = query["excluded_simples"], query["lambda"]
+        if not isinstance(type_label, str):
+            raise InvalidInput("flag query 'type' must be a string", type=type_label)
+        if not _is_int(rank):
+            raise InvalidInput("flag query 'rank' must be an integer", rank=rank)
+        for key, val in (("excluded_simples", excluded), ("lambda", lam)):
+            if not (isinstance(val, list) and all(map(_is_int, val))):
+                raise InvalidInput(f"flag query {key!r} must be a list of integers", **{key: val})
+        excluded, lam = tuple(excluded), tuple(lam)
     else:
         missing = [
             name

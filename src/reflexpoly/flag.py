@@ -24,6 +24,11 @@ from .ehrhart import QuasiPolynomial, ehrhart_quasi_polynomial, hilbert_symmetry
 from .errors import InternalInconsistency, NotPRegular, UnsupportedType, ValidationFailed
 from .polytope import Polytope
 
+# input guard at the documented desk scale: the root closure and a Hilbert
+# polynomial grow about as rank^4, about 1 s at rank 16 (type B, every
+# simple root excluded)
+_MAX_RANK = 16
+
 _KNOWN_COUNTS = {
     "A": lambda r: r * (r + 1) // 2,
     "B": lambda r: r * r,
@@ -137,7 +142,10 @@ def build_root_system(type_label: str, rank: int) -> RootSystemData:
 
     Positive roots are generated by the standard root-string closure from
     the Cartan matrix; the count is asserted against the classical formula.
+    Ranks above _MAX_RANK raise UnsupportedType.
     """
+    if rank > _MAX_RANK:
+        raise UnsupportedType("rank exceeds the supported maximum", rank=rank, max_rank=_MAX_RANK)
     label = type_label.upper()
     if label == "G":
         label = "G2"

@@ -432,16 +432,8 @@ def integer_bounding_box(p: Polytope) -> tuple[tuple[int, ...], tuple[int, ...]]
     return p._integer_form.box(1)
 
 
-def _scan_args(p: Polytope):
-    normals = tuple(h.normal for h in p.hrep)
-    offsets = tuple(h.offset for h in p.hrep)
-    return normals, offsets
-
-
 def _check_budget(lo, hi, budget) -> None:
-    vol = 1
-    for a, b in zip(lo, hi):
-        vol *= max(0, b - a + 1)
+    vol = _scan._box_volume(lo, hi)
     limit = enumeration_budget(budget)
     if vol > limit:
         raise ScaleExceeded("bounding box exceeds enumeration budget", box=vol, budget=limit)
@@ -449,10 +441,10 @@ def _check_budget(lo, hi, budget) -> None:
 
 def lattice_points(p: Polytope, strict: bool = False, budget: int | None = None) -> LatticePointSet:
     """All integer points of p (strict: of its interior), in lex order."""
-    lo, hi = integer_bounding_box(p)
+    form = p._integer_form
+    lo, hi = form.box(1)
     _check_budget(lo, hi, budget)
-    normals, offsets = _scan_args(p)
-    pts = _scan.scan_collect(lo, hi, normals, offsets, strict)
+    pts = _scan.scan_collect(lo, hi, form.normals, form.nums, form.dens, strict)
     return LatticePointSet(points=tuple(pts), count=len(pts))
 
 
@@ -482,10 +474,10 @@ def count_in_box(halfspaces, lo, hi, strict: bool = False, budget: int | None = 
     box.  Unlike the Polytope constructors this accepts empty or
     lower-dimensional solution sets; the caller owns the box."""
     _check_budget(lo, hi, budget)
-    normals = []
-    offsets = []
+    normals, nums, dens = [], [], []
     for normal, offset in halfspaces:
-        u = tuple(int(c) for c in normal)
-        normals.append(u)
-        offsets.append(parse_rational(offset))
-    return _scan.scan_count(tuple(lo), tuple(hi), tuple(normals), tuple(offsets), strict)
+        normals.append(tuple(int(c) for c in normal))
+        b = parse_rational(offset)
+        nums.append(b.numerator)
+        dens.append(b.denominator)
+    return _scan.scan_counts([(1, tuple(lo), tuple(hi))], normals, nums, dens, strict)[0]

@@ -136,6 +136,40 @@ class TestFlag:
         assert code == 1
         assert json.loads(err)["error"] == "NotPRegular"
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            {"type": "A", "rank": 3, "excluded_simples": [2], "lambda": "010"},
+            {"type": "A", "rank": 1, "excluded_simples": "1", "lambda": [1]},
+            {"type": "A", "rank": 3.7, "excluded_simples": [2], "lambda": [0, 1, 0]},
+            {"type": "A", "rank": True, "excluded_simples": [1], "lambda": [1]},
+            {"type": 5, "rank": 1, "excluded_simples": [1], "lambda": [1]},
+            {"type": "A", "rank": 1, "excluded_simples": 5, "lambda": [1]},
+            {"type": "A", "rank": 1, "excluded_simples": [True], "lambda": [1]},
+            {"type": "A", "rank": 1, "excluded_simples": [1], "lambda": [1.5]},
+        ],
+        ids=[
+            "lambda-string", "excluded-string", "rank-float", "rank-bool",
+            "type-int", "excluded-int", "excluded-bool-entry", "lambda-float-entry",
+        ],
+    )
+    def test_query_field_types_refused(self, capsys, query):
+        # each of these used to be coerced by int() into an answer, or to
+        # escape as a traceback
+        code, out, err = run(capsys, "flag", "--in", json.dumps(query))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "InvalidInput"
+
+    def test_rank_above_cap_refused(self, capsys):
+        code, out, err = run(capsys, "flag", "--type", "B", "--rank", "17",
+                             "--parabolic", "1", "--lambda", ",".join(["1"] + ["0"] * 16))
+        assert code == 1
+        assert out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "UnsupportedType"
+        assert obj["context"] == {"rank": 17, "max_rank": 16}
+
 
 class TestFuzz:
     def test_run_and_write(self, capsys, tmp_path):

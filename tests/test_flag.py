@@ -33,6 +33,13 @@ def test_unsupported_types():
             build_root_system(label, rank)
 
 
+def test_rank_cap_is_inclusive():
+    assert len(build_root_system("A", 16).positive_roots) == 16 * 17 // 2
+    with pytest.raises(UnsupportedType) as exc:
+        build_root_system("A", 17)
+    assert exc.value.context == {"rank": 17, "max_rank": 16}
+
+
 def test_rho_pairs_to_one_on_simples():
     for label, rank in (("A", 3), ("B", 2), ("C", 3), ("D", 4), ("G2", 2)):
         rs = build_root_system(label, rank)

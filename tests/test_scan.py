@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,20 @@ from reflexpoly import _scan
 from reflexpoly.polytope import count_lattice_points, lattice_points
 
 BACKENDS = ("python", "numpy")
+
+
+def _split(offsets):
+    return [b.numerator for b in offsets], [b.denominator for b in offsets]
+
+
+def count_on(name, lo, hi, normals, offsets, strict=False):
+    # straight to the kernel at the named width, with no int64 guard
+    return _scan._count([(1, lo, hi)], normals, *_split(offsets), strict, _scan._DTYPES[name])[0]
+
+
+def collect_on(name, lo, hi, normals, offsets, strict=False):
+    return _scan._collect(lo, hi, normals, *_split(offsets), strict, _scan._DTYPES[name])
+
 
 CASES = [
     ((-5, -5), (5, 5), ((1, 1), (-1, 0), (0, -1)), (Fraction(1, 3), Fraction(1), Fraction(1))),
@@ -23,8 +38,8 @@ CASES = [
 @pytest.mark.parametrize("case", CASES, ids=range(len(CASES)))
 def test_backends_agree(case, strict):
     lo, hi, normals, offsets = case
-    counts = {b: _scan.backend_count(b, lo, hi, normals, offsets, strict) for b in BACKENDS}
-    points = {b: _scan.backend_collect(b, lo, hi, normals, offsets, strict) for b in BACKENDS}
+    counts = {b: count_on(b, lo, hi, normals, offsets, strict) for b in BACKENDS}
+    points = {b: collect_on(b, lo, hi, normals, offsets, strict) for b in BACKENDS}
     assert counts["python"] == counts["numpy"]
     assert points["python"] == points["numpy"]
     assert counts["python"] == len(points["python"])
@@ -61,8 +76,8 @@ def _random_scan(x0, wx, y0, wy, rows):
 @random_scans
 def test_backends_agree_random(x0, wx, y0, wy, rows, strict):
     scan = _random_scan(x0, wx, y0, wy, rows)
-    ref = _scan.backend_collect("python", *scan, strict)
-    assert _scan.backend_collect("numpy", *scan, strict) == ref
+    ref = collect_on("python", *scan, strict)
+    assert collect_on("numpy", *scan, strict) == ref
 
 
 def _boundary_scan(draw_int):
@@ -108,8 +123,8 @@ def test_fiber_scan_matches_brute_force(scan):
     for strict in (False, True):
         ref = brute_scan(*scan, strict)
         for b in BACKENDS:
-            assert _scan.backend_collect(b, *scan, strict) == ref
-            assert _scan.backend_count(b, *scan, strict) == len(ref)
+            assert collect_on(b, *scan, strict) == ref
+            assert count_on(b, *scan, strict) == len(ref)
 
 
 @st.composite
@@ -134,7 +149,7 @@ def test_batched_counts_match_brute_force(batch_case):
     # one kernel call over several dilations and boxes counts each scan as
     # a scan of its own would: points of [lo, hi] with <x, u> <= n * b
     batch, normals, offsets = batch_case
-    nums, dens = _scan._split_offsets(offsets)
+    nums, dens = _split(offsets)
     for strict in (False, True):
         ref = [
             len(brute_scan(lo, hi, normals, [n * b for b in offsets], strict))
@@ -188,38 +203,88 @@ def test_env_flag_validation(monkeypatch):
     for name in ("cuda", "numba"):
         monkeypatch.setenv("REFLEX_SCAN", name)
         with pytest.raises(ValueError, match="numpy[|]python"):
-            _scan.scan_count((0,), (1,), ((1,),), (Fraction(1),))
+            _scan.scan_counts([(1, (0,), (1,))], ((1,),), (1,), (1,))
 
 
 def test_overflow_guard_falls_back_to_python():
+    batch = [(1, (-10, -10), (10, 10))]
     normals = ((2**40, 2**40),)
-    offsets = (Fraction(10**30),)
-    nums, dens = _scan._split_offsets(offsets)
-    assert _scan.resolve_backend((-10, -10), (10, 10), normals, nums, dens) == "python"
+    nums, dens = _split((Fraction(10**30),))
+    assert _scan.resolve_backend(batch, normals, nums, dens) == "python"
     # still exact: every point of the box satisfies the huge bound
-    assert _scan.scan_count((-10, -10), (10, 10), normals, offsets) == 21 * 21
+    assert _scan.scan_counts(batch, normals, nums, dens) == [21 * 21]
 
 
-def test_explicit_backend_refuses_unsafe_input():
-    normals = ((2**40, 2**40),)
-    offsets = (Fraction(10**30),)
-    with pytest.raises(OverflowError):
-        _scan.backend_count("numpy", (-10, -10), (10, 10), normals, offsets)
+# the last axis is fixed at [0, 0], so the coordinates do not bound q*c_d,
+# the divisor of the fiber solve: here it is 3 * 2**63 and must not wrap
+DIVISOR_SCAN = ((-3, 0), (3, 0), ((1, 3 * 2**40),), (-5,), (2**23,))
+DIVISOR_POINTS = [(-3, 0), (-2, 0), (-1, 0)]
 
 
 def test_overflow_guard_bounds_the_fiber_divisor():
-    # the last axis is fixed at [0, 0], so the coordinates do not bound q*c_d,
-    # the divisor of the fiber solve: here it is 3 * 2**63 and must not wrap
-    lo, hi = (-3, 0), (3, 0)
-    normals = ((1, 3 * 2**40),)
-    offsets = (Fraction(-5, 2**23),)
-    nums, dens = _scan._split_offsets(offsets)
-    assert _scan.resolve_backend(lo, hi, normals, nums, dens) == "python"
-    assert _scan.scan_collect(lo, hi, normals, offsets) == [(-3, 0), (-2, 0), (-1, 0)]
-    with pytest.raises(OverflowError):
-        _scan.backend_collect("numpy", lo, hi, normals, offsets)
+    lo, hi, normals, nums, dens = DIVISOR_SCAN
+    assert _scan.resolve_backend([(1, lo, hi)], normals, nums, dens) == "python"
+    assert _scan.scan_collect(*DIVISOR_SCAN) == DIVISOR_POINTS
+
+
+def test_numpy_flag_cannot_force_int64_onto_unsafe_scan(monkeypatch):
+    lo, hi, normals, nums, dens = DIVISOR_SCAN
+    # at int64 the divisor wraps and the scan answers wrongly
+    assert _scan._collect(*DIVISOR_SCAN, False, np.int64) == [(0, 0), (1, 0), (2, 0), (3, 0)]
+    monkeypatch.setenv("REFLEX_SCAN", "numpy")
+    assert _scan.resolve_backend([(1, lo, hi)], normals, nums, dens) == "python"
+    assert _scan.scan_collect(*DIVISOR_SCAN) == DIVISOR_POINTS
+    assert _scan.scan_counts([(1, lo, hi)], normals, nums, dens) == [len(DIVISOR_POINTS)]
+
+
+def test_int64_guard_bounds_are_strict_at_2_62():
+    # each clause passes one below 2**62 and fails at it: the box volume,
+    # a coordinate of either sign, B_i (its 1 on an axis fixed at [0, 0])
+    # and |p_i|
+    L, side = 2**62, 2**31
+
+    def safe(lo, hi, normals=(), nums=(), dens=()):
+        return _scan._int64_safe(lo, hi, normals, nums, dens)
+
+    assert [safe((0, 0), (side - 1, side - 2)), safe((0, 0), (side - 1, side - 1))] == [True, False]
+    assert [safe((L - 1,), (L - 1,)), safe((L,), (L,))] == [True, False]
+    assert [safe((1 - L,), (1 - L,)), safe((-L,), (-L,))] == [True, False]
+    assert [safe((0, 0), (0, 0), ((0, L - 1),), (0,), (1,)),
+            safe((0, 0), (0, 0), ((0, L),), (0,), (1,))] == [True, False]
+    assert [safe((0,), (0,), ((1,),), (0,), (L - 1,)),
+            safe((0,), (0,), ((1,),), (0,), (L,))] == [True, False]
+    assert [safe((0,), (0,), ((1,),), (1 - L,), (1,)),
+            safe((0,), (0,), ((1,),), (-L,), (1,))] == [True, False]
+
+
+@pytest.mark.parametrize("lo, hi", [((0, 0), (43690, 2)), ((0, 0), (2, 2**17))])
+def test_chunks_bound_box_points(lo, hi):
+    # a chunk holds _CHUNK // w prefixes, w the last-axis width, so at most
+    # _CHUNK box points; one prefix when w alone exceeds _CHUNK
+    w = hi[-1] - lo[-1] + 1
+    step = max(1, _scan._CHUNK // w)
+    chunks = [len(x) for _, x, _, _ in _scan._fibers([(1, lo, hi)], (), (), (), False, np.int64)]
+    assert sum(chunks) == hi[0] - lo[0] + 1
+    assert chunks == [step] * (len(chunks) - 1) + chunks[-1:]
+    assert max(chunks) <= step
+
+
+def test_collect_width_reads_its_own_offsets(monkeypatch):
+    # a collect's guard sees p_i itself: 2**62 - 1 runs at int64, and
+    # 2**63, which no int64 holds, at python width
+    widths = []
+    original = _scan._fibers
+
+    def recorded(*args):
+        widths.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(_scan, "_fibers", recorded)
+    for p in (2**62 - 1, 2**63):
+        assert _scan.scan_collect((0,), (3,), ((1,),), (p,), (1,)) == [(0,), (1,), (2,), (3,)]
+    assert widths == [np.int64, object]
 
 
 def test_no_constraints_counts_box():
     for b in BACKENDS:
-        assert _scan.backend_count(b, (0, 0), (2, 3), (), ()) == 12
+        assert count_on(b, (0, 0), (2, 3), (), ()) == 12

@@ -6,10 +6,23 @@ import sys
 
 import pytest
 
-from reflexpoly import _scan, ehrhart_quasi_polynomial
+from conftest import triangle
+from reflexpoly import _scan, classify, ehrhart_quasi_polynomial
 from reflexpoly import polytope as polytope_module
 from reflexpoly.ehrhart import vertex_denominator_lcm
-from reflexpoly.fuzz import FuzzConfig, random_polytope
+from reflexpoly.errors import ScaleExceeded
+from reflexpoly.fuzz import FuzzConfig, dual_integral_polytope, random_polytope
+from reflexpoly.polytope import (
+    count_in_box,
+    count_lattice_points,
+    dilate,
+    from_vrep,
+    integer_bounding_box,
+    lattice_points,
+    normal_fan_rays,
+    translate,
+)
+from reflexpoly.toric import euler_char_canonical_twist
 
 # (dim, samples, max_coordinate, max_denominator) of each corpus200 stratum,
 # and the streams of the slice taken from it
@@ -23,6 +36,42 @@ def corpus200_slice():
         cfg = FuzzConfig(dim=dim, samples=samples, seed=2024, max_coordinate=coord, max_denominator=den)
         out.extend(random_polytope(cfg, i) for i in SLICE[dim])
     return out
+
+
+def gate_polytopes():
+    """The five polytopes of test_classify's work counts, then ten of
+    corpus250: five of the corpus200 slice and five dual-integral ones."""
+    reflexive = triangle(2, 3)
+    named = {
+        "reflexive": reflexive,
+        "dual-fano": triangle(1, 3),
+        "unit-square": from_vrep([(0, 0), (1, 0), (0, 1), (1, 1)]),
+        "reflexive-x2": dilate(reflexive, 2),
+        "reflexive-x3-shifted": translate(dilate(reflexive, 3), (1, -2)),
+    }
+    for i, p in enumerate(corpus200_slice()[::2]):
+        named[f"corpus200-{i}"] = p
+    cfg = FuzzConfig(
+        dim=2, samples=50, seed=77, max_coordinate=3, max_denominator=2,
+        normal_entry_bound=1, max_facet_integer=3,
+    )
+    for i in range(0, 50, 10):
+        named[f"dual-integral-{i}"] = dual_integral_polytope(cfg, i)
+    return named
+
+
+GATE = gate_polytopes()
+
+
+def test_budget_counts_box_points():
+    # the budget bounds box points, an empty box holding none: the
+    # triangle's box [-1, 2] x [-1, 1] holds 12
+    p = triangle(2, 3)
+    assert count_lattice_points(p, budget=12) == 7
+    with pytest.raises(ScaleExceeded) as exc:
+        lattice_points(p, budget=11)
+    assert exc.value.context == {"box": 12, "budget": 11}
+    assert count_in_box([], (0, 0), (3, -1), budget=0) == 0
 
 
 class TestWorkCounts:
@@ -65,3 +114,25 @@ class TestWorkCounts:
         # every node r + kT, k = 0..2d, but n = 0
         assert len(kernel_batches[0]) == T * (2 * p.dim + 1) - 1
         assert dilate_calls == []
+
+    @pytest.mark.parametrize("name", GATE)
+    def test_kernel_calls_per_operation(self, kernel_batches, name):
+        # one kernel call per lattice query; the twist is an interior count
+        # plus its explicit cross-check, and classify is the strict collect
+        # of its anchor pass plus one reconstruction batch
+        p = GATE[name]
+        lo, hi = integer_bounding_box(p)
+        ops = (
+            lambda: lattice_points(p),
+            lambda: lattice_points(p, strict=True),
+            lambda: count_lattice_points(p),
+            lambda: count_in_box(normal_fan_rays(p), lo, hi),
+            lambda: euler_char_canonical_twist(p, 2),
+            lambda: classify(p),
+        )
+        calls = []
+        for op in ops:
+            kernel_batches.clear()
+            op()
+            calls.append(len(kernel_batches))
+        assert calls == [1, 1, 1, 1, 2, 2]
