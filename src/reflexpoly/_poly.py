@@ -1,8 +1,9 @@
-"""Dense univariate polynomial arithmetic over Fraction.
+"""Dense univariate polynomial helpers.
 
-Coefficient lists are indexed by power (coeffs[k] multiplies x^k) and kept
-trimmed of trailing zeros, so structural equality of tuples is equality of
-polynomials.
+Coefficient lists are indexed by power (coeffs[k] multiplies x^k).  Products
+are built on integer lists with `times_linear` and divided once by their
+caller; `trim` turns the result into a tuple of Fractions without trailing
+zeros, so structural equality of tuples is equality of polynomials.
 """
 
 from __future__ import annotations
@@ -28,42 +29,9 @@ def evaluate(coeffs: Sequence[Fraction], x) -> Fraction:
     return acc
 
 
-def add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
-    n = max(len(a), len(b))
-    return trim(
-        [
-            (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-            for i in range(n)
-        ]
-    )
-
-
-def scale(a: Sequence[Fraction], s) -> Poly:
-    s = Fraction(s)
-    return trim([c * s for c in a])
-
-
-def sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
-    return add(a, scale(b, -1))
-
-
-def mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return trim(out)
-
-
-def compose_affine(coeffs: Sequence[Fraction], a, b) -> Poly:
-    """Coefficients of p(a*x + b), via Horner over polynomial arithmetic."""
-    inner = trim([Fraction(b), Fraction(a)])
-    acc: Poly = (Fraction(0),)
-    for c in reversed(coeffs):
-        acc = add(mul(acc, inner), (Fraction(c),))
-    return acc
+def times_linear(coeffs: Sequence[int], a: int, b: int) -> list[int]:
+    """Coefficients of p(x) * (a + b*x), one longer than p's list."""
+    return [a * c + b * prev for c, prev in zip([*coeffs, 0], [0, *coeffs])]
 
 
 def format_poly(coeffs: Sequence[Fraction], var: str = "n") -> str:

@@ -24,10 +24,15 @@ from .polytope import polar_dual
 
 def _load_json_arg(path_or_inline: str) -> dict:
     if path_or_inline.strip().startswith(("{", "[")):
-        return json.loads(path_or_inline)
-    if path_or_inline == "-":
-        return json.load(sys.stdin)
-    return json.loads(Path(path_or_inline).read_text())
+        text = path_or_inline
+    elif path_or_inline == "-":
+        text = sys.stdin.read()
+    else:
+        text = Path(path_or_inline).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InvalidInput("JSON input is nested too deeply") from None
 
 
 def _emit(obj: dict, fmt: str, text_renderer=None) -> None:
@@ -276,7 +281,7 @@ def main(argv=None) -> int:
     except ReflexError as exc:
         print(json.dumps(exc.payload()), file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc), "context": {}}),
             file=sys.stderr,

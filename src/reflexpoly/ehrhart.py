@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import _poly
 from .errors import InternalInconsistency, PeriodNotOne, ValidationFailed
@@ -170,8 +170,7 @@ def _constituent(r: int, T: int, d: int, ys: list[int]) -> list[Fraction]:
         weight = a * (factorial(d) // factorial(j)) * T ** (d - j)
         for i, c in enumerate(basis):
             coeffs[i] += weight * c
-        root = r + j * T
-        basis = [x - root * y for x, y in zip([0] + basis, basis + [0])]
+        basis = _poly.times_linear(basis, -(r + j * T), 1)
     denominator = factorial(d) * T**d
     return [Fraction(c, denominator) for c in coeffs]
 
@@ -229,7 +228,13 @@ def hilbert_symmetry_check(q: QuasiPolynomial, d: int, n_max: int) -> bool:
         raise PeriodNotOne("symmetry test requires a genuine polynomial", period=q.period)
     sign = (-1) ** d
     values_ok = all(q.evaluate(n) == sign * q.evaluate(-n - 1) for n in range(0, n_max + 1))
+    # denom*q has integer coefficients; Horner's rule on them gives denom*q(-x-1)
     coeffs = q.constituents[0]
-    reflected = _poly.scale(_poly.compose_affine(coeffs, -1, -1), sign)
-    identity_ok = _poly.sub(coeffs, reflected) == (Fraction(0),)
+    denom = lcm(*(c.denominator for c in coeffs))
+    scaled = [c.numerator * (denom // c.denominator) for c in coeffs]
+    reflected: list[int] = []
+    for c in reversed(scaled):
+        reflected = _poly.times_linear(reflected, -1, -1)
+        reflected[0] += c
+    identity_ok = reflected == [sign * c for c in scaled]
     return values_ok and identity_ok

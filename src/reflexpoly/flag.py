@@ -25,8 +25,8 @@ from .errors import InternalInconsistency, NotPRegular, UnsupportedType, Validat
 from .polytope import Polytope
 
 # input guard at the documented desk scale: the root closure and a Hilbert
-# polynomial grow about as rank^4, about 1 s at rank 16 (type B, every
-# simple root excluded)
+# polynomial grow about as rank^4, about 0.06 s at rank 16 (type B, every
+# simple root excluded, 2 CPUs)
 _MAX_RANK = 16
 
 _KNOWN_COUNTS = {
@@ -45,17 +45,6 @@ class RootSystemData:
     cartan: tuple[tuple[int, ...], ...]  # cartan[i][j] = <alpha_j, alpha_i-check>
     positive_roots: tuple[tuple[int, ...], ...]  # simple-root coordinates
     coroots: tuple[tuple[int, ...], ...]  # matching coroot, simple-coroot coordinates
-
-    @property
-    def simple_roots(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)
-        )
-
-    @property
-    def rho(self) -> tuple[int, ...]:
-        """Half-sum of positive roots, in fundamental coordinates: all ones."""
-        return (1,) * self.rank
 
     def pairing(self, weight: Sequence[int], root_index: int) -> int:
         """<weight, beta-check> for a fundamental-coordinate weight."""
@@ -186,15 +175,11 @@ def build_root_system(type_label: str, rank: int) -> RootSystemData:
 
     coroots = []
     for beta in ordered:
-        norm_beta = sum(
-            Fraction(beta[i]) * Fraction(beta[j]) * sym[i][j]
-            for i in range(rank)
-            for j in range(rank)
-        )
-        cor = tuple(Fraction(beta[j] * norm2[j], norm_beta) for j in range(rank))
-        if any(c.denominator != 1 for c in cor):
+        norm_beta = sum(beta[i] * beta[j] * sym[i][j] for i in range(rank) for j in range(rank))
+        cor, rems = zip(*(divmod(beta[j] * norm2[j], norm_beta) for j in range(rank)))
+        if any(rems):
             raise InternalInconsistency("non-integral coroot expansion", root=beta)
-        coroots.append(tuple(int(c) for c in cor))
+        coroots.append(cor)
 
     return RootSystemData(
         type_label=label,
@@ -235,17 +220,14 @@ def hilbert_polynomial(
     <rho, beta-check> as an exact polynomial in n (period-1 quasi-polynomial
     of degree = number of moved roots)."""
     _check_p_regular(rs, pc, lam)
-    moved = parabolic_positive_roots(rs, pc)
-    indices = [rs.positive_roots.index(beta) for beta in moved]
-    poly: tuple[Fraction, ...] = (Fraction(1),)
-    denom = 1
-    for idx in indices:
-        slope = rs.pairing(lam, idx)
-        height = rs.root_height_paired_with_rho(idx)
-        poly = _poly.mul(poly, (Fraction(height), Fraction(slope)))
-        denom *= height
-    poly = _poly.scale(poly, Fraction(1, denom))
-    return QuasiPolynomial.from_constituents([poly])
+    moved = set(parabolic_positive_roots(rs, pc))
+    poly, denom = [1], 1
+    for idx, beta in enumerate(rs.positive_roots):
+        if beta in moved:
+            height = rs.root_height_paired_with_rho(idx)
+            poly = _poly.times_linear(poly, height, rs.pairing(lam, idx))
+            denom *= height
+    return QuasiPolynomial.from_constituents([[Fraction(c, denom) for c in poly]])
 
 
 def anticanonical_weight(rs: RootSystemData, pc: ParabolicChoice) -> tuple[int, ...]:

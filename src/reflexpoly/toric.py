@@ -82,6 +82,8 @@ def divisor_from_polytope(p: Polytope) -> ToricDivisorData:
 
 def polytope_from_divisor(d: ToricDivisorData) -> Polytope:
     """{x : <x, u> <= a_u over rays}; raises when this is not a polytope."""
+    if not d.fan.rays:
+        raise InvalidInput("a divisor needs at least one ray")
     dim = len(d.fan.rays[0])
     try:
         return from_hrep(list(zip(d.fan.rays, d.coefficients)), dim)

@@ -39,6 +39,10 @@ class TestElementaryFlags:
     def test_is_fano_nonprimitive_vertices(self):
         assert not is_fano(from_vrep([(2, 0), (0, 2), (-2, -2)]))
 
+    def test_is_fano_origin_on_boundary(self):
+        # primitive lattice vertices, but the origin lies on the facet y = 0
+        assert not is_fano(from_vrep([(1, 0), (0, 1), (-1, 0)]))
+
     def test_is_reflexive(self, reflexive_triangle, dual_fano_triangle, sym_square):
         assert is_reflexive(reflexive_triangle)
         assert not is_reflexive(dual_fano_triangle)

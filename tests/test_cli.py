@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -274,6 +275,36 @@ class TestInputBoundary:
             code, _, err = run(capsys, *argv)
             assert code == 1
             assert json.loads(err)["error"] == "InvalidInput"
+
+    def test_empty_fan_refused(self, capsys):
+        code, out, err = run(capsys, "toric", "--from-divisor", "--in",
+                             '{"rays": [], "coefficients": []}')
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "InvalidInput",
+            "message": "a divisor needs at least one ray",
+            "context": {},
+        }
+
+    def test_directory_as_input(self, capsys, tmp_path):
+        code, out, err = run(capsys, "dual", "--in", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "IsADirectoryError"
+        assert obj["context"] == {}
+
+    def test_deeply_nested_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 5000))
+        code, out, err = run(capsys, "dual", "--in", "-")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "InvalidInput",
+            "message": "JSON input is nested too deeply",
+            "context": {},
+        }
 
     def test_module_entry_point(self):
         env = dict(os.environ, PYTHONPATH=str(Path(reflexpoly.__file__).parents[1]))

@@ -260,6 +260,32 @@ def test_validation_guard_aborts_on_bad_counts(reflexive_triangle, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "d, T, r", [(1, 1, 0), (1, 3, 2), (2, 1, 0), (2, 2, 1), (3, 1, 0), (3, 2, 1)]
+)
+def test_every_held_out_node_is_checked(d, T, r):
+    # ys[k] is the value at node r + kT of a degree-d polynomial in k, so the
+    # Newton form through ys[0..d] matches every held-out ys[d+1..2d]
+    from reflexpoly.ehrhart import _constituent
+
+    ys = [sum((j + 2) * k**j for j in range(d + 1)) for k in range(2 * d + 1)]
+    _constituent(r, T, d, ys)
+    for k in range(d + 1, 2 * d + 1):
+        bad = ys[:k] + [ys[k] + 1] + ys[k + 1 :]
+        with pytest.raises(ValidationFailed) as info:
+            _constituent(r, T, d, bad)
+        assert info.value.payload() == {
+            "error": "ValidationFailed",
+            "message": "interpolant disagrees with a held-out count",
+            "context": {
+                "residue": r,
+                "n": r + k * T,
+                "interpolated": str(ys[k]),
+                "counted": ys[k] + 1,
+            },
+        }
+
+
+@pytest.mark.parametrize(
     "points, budget, box",
     [
         # box widths of nP for n = 1..4 are 0, 1, 2, 1: not monotone in n
@@ -367,3 +393,45 @@ def test_quasi_polynomial_matches_brute_force(pts):
     assert q.evaluate(n) == brute_count(p, n)
     for n in (1, 2):
         assert (-1) ** d * q.evaluate(-n) == brute_count(p, n, strict=True)
+
+
+@pytest.mark.parametrize(
+    "coeffs, trimmed",
+    [
+        ([0], (0,)),
+        ([0, 0, 0], (0,)),
+        ([1, 0, 0], (1,)),
+        ([0, 1, 0], (0, 1)),
+        ([2, 0, -3, 0, 0], (2, 0, -3)),
+        ([Fraction(1, 2), Fraction(0)], (Fraction(1, 2),)),
+    ],
+)
+def test_trim_drops_trailing_zeros_only(coeffs, trimmed):
+    from reflexpoly import _poly
+
+    assert _poly.trim(coeffs) == trimmed
+
+
+@pytest.mark.parametrize(
+    "constituents, text",
+    [
+        ([[0]], "0"),
+        ([[1]], "1"),
+        ([[-1]], "-1"),
+        ([[0, 1]], "n"),
+        ([[0, -1]], "-n"),
+        ([[1, -1, 1]], "n^2 - n + 1"),
+        ([[-1, 0, -1]], "-n^2 - 1"),
+        ([[0, 2, -3]], "-3*n^2 + 2*n"),
+        ([[Fraction(1, 2), Fraction(-3, 4)]], "-3/4*n + 1/2"),
+        ([[Fraction(-5, 2), 0, 0, Fraction(1, 6)]], "1/6*n^3 - 5/2"),
+        (
+            [[1, Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]],
+            "n = 0 (mod 2): 1/2*n + 1; n = 1 (mod 2): 1/2*n + 1/2",
+        ),
+        ([[0], [1], [0, 1]], "n = 0 (mod 3): 0; n = 1 (mod 3): 1; n = 2 (mod 3): n"),
+    ],
+)
+def test_text_rendering(constituents, text):
+    # the "text" field of the ehrhart and flag JSON output
+    assert str(QuasiPolynomial.from_constituents(constituents)) == text

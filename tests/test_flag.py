@@ -33,6 +33,13 @@ def test_unsupported_types():
             build_root_system(label, rank)
 
 
+def test_rank_below_type_minimum():
+    for label, rank in (("A", 0), ("C", 1)):
+        with pytest.raises(UnsupportedType) as exc:
+            build_root_system(label, rank)
+        assert exc.value.context == {"rank": rank}
+
+
 def test_rank_cap_is_inclusive():
     assert len(build_root_system("A", 16).positive_roots) == 16 * 17 // 2
     with pytest.raises(UnsupportedType) as exc:
@@ -62,6 +69,17 @@ class TestParabolic:
     def test_empty_choice(self):
         rs = build_root_system("G2", 2)
         assert parabolic_positive_roots(rs, ParabolicChoice(())) == []
+
+    def test_excluded_index_out_of_range(self):
+        rs = build_root_system("A", 2)
+        for bad in (0, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                parabolic_positive_roots(rs, ParabolicChoice((bad,)))
+
+    def test_dominant_weights_up_to_the_cap(self):
+        rs = build_root_system("A", 3)
+        weights = dominant_p_regular_weights(rs, ParabolicChoice((1, 3)), 2)
+        assert list(weights) == [(1, 0, 1), (1, 0, 2), (2, 0, 1), (2, 0, 2)]
 
 
 class TestHilbertPolynomial:
