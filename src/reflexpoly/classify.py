@@ -8,8 +8,9 @@ with quasi-reflexive equivalent to (dual-integral and lattice).  Each of the
 translated notions admits two independent characterizations - the support
 values of the translated polytope, and the shape of the translated dual - and
 both are always computed; a disagreement aborts, turning the equivalence
-proofs into permanent self-tests.  Both come from one pass that collects the
-interior lattice points z once and translates and dualizes p - z once each.
+proofs into permanent self-tests.  Both come from one pass over the interior
+lattice points z, collected once, that translates and dualizes p - z once
+each.
 """
 
 from __future__ import annotations
@@ -78,12 +79,11 @@ def is_reflexive(p: Polytope) -> bool:
     return is_lattice_polytope(polar_dual(p))
 
 
-def _anchor_pass(p: Polytope, budget=None):
+def _anchor_pass(p: Polytope, interior: LatticePointSet):
     """Visit each interior lattice point z of p once, translating and
-    dualizing once.  Returns the interior points, the first z at which every
-    support value of p - z is 1/k with its k-list, and the direct tests:
-    whether some polar_dual(p - z) is Fano and some p - z is reflexive."""
-    interior = lattice_points(p, strict=True, budget=budget)
+    dualizing once.  Returns the first z at which every support value of
+    p - z is 1/k with its k-list, and the direct tests: whether some
+    polar_dual(p - z) is Fano and some p - z is reflexive."""
     anchor = ks = None
     fano_dual = reflexive = False
     for z in interior.points:
@@ -93,7 +93,7 @@ def _anchor_pass(p: Polytope, budget=None):
             anchor, ks = z, tuple(h.offset.denominator for h in shifted.hrep)
         fano_dual = fano_dual or is_fano(dual)
         reflexive = reflexive or (is_lattice_polytope(shifted) and is_lattice_polytope(dual))
-    return interior, anchor, ks, fano_dual, reflexive
+    return anchor, ks, fano_dual, reflexive
 
 
 def _dual_fano(ks, via_dual: bool) -> bool:
@@ -121,28 +121,32 @@ def is_dual_integral(
     """Search interior lattice anchors z for which every support value of
     p - z is 1/k with a positive integer k.  Returns (flag, anchor, k-list);
     the k-list follows the canonical facet order."""
-    _, anchor, ks, _, _ = _anchor_pass(p, budget)
+    anchor, ks, _, _ = _anchor_pass(p, lattice_points(p, strict=True, budget=budget))
     return anchor is not None, anchor, ks
 
 
 def is_dual_fano(p: Polytope, budget=None) -> bool:
     """Dual-integral with every facet integer 1; cross-checked against the
     direct definition (the translated dual is a Fano polytope)."""
-    _, _, ks, fano_dual, _ = _anchor_pass(p, budget)
+    _, ks, fano_dual, _ = _anchor_pass(p, lattice_points(p, strict=True, budget=budget))
     return _dual_fano(ks, fano_dual)
 
 
 def is_quasi_reflexive(p: Polytope, budget=None) -> bool:
     """Lattice polytope and dual-integral; cross-checked against the direct
     definition (some lattice translate is reflexive)."""
-    _, anchor, _, _, reflexive = _anchor_pass(p, budget)
+    anchor, _, _, reflexive = _anchor_pass(p, lattice_points(p, strict=True, budget=budget))
     return _quasi_reflexive(is_lattice_polytope(p) and anchor is not None, reflexive)
 
 
 def classify(p: Polytope, budget=None) -> ClassificationReport:
     """Full report; the proven implications of the hierarchy are asserted
-    before returning, so a malformed report can never escape."""
-    interior, anchor, ks, fano_dual, reflexive = _anchor_pass(p, budget)
+    before returning, so a malformed report can never escape.  The Ehrhart
+    reconstruction runs before the per-point pass, so a dilation box over
+    the budget raises ScaleExceeded before any interior point is visited."""
+    interior = lattice_points(p, strict=True, budget=budget)
+    quasi_lattice = ehrhart.is_quasi_lattice(p, budget)
+    anchor, ks, fano_dual, reflexive = _anchor_pass(p, interior)
     lattice = is_lattice_polytope(p)
     report = ClassificationReport(
         is_lattice=lattice,
@@ -151,7 +155,7 @@ def classify(p: Polytope, budget=None) -> ClassificationReport:
         is_quasi_reflexive=_quasi_reflexive(lattice and anchor is not None, reflexive),
         is_dual_fano=_dual_fano(ks, fano_dual),
         is_dual_integral=anchor is not None,
-        is_quasi_lattice=ehrhart.is_quasi_lattice(p, budget),
+        is_quasi_lattice=quasi_lattice,
         interior_lattice_points=interior,
         anchor=anchor,
         facet_integers=ks,

@@ -223,7 +223,13 @@ def hibi_symmetry_check(p: Polytope, n_max: int, budget: int | None = None) -> b
 
 def hilbert_symmetry_check(q: QuasiPolynomial, d: int, n_max: int) -> bool:
     """For a genuine polynomial, test q(n) == (-1)^d q(-n-1) both on the
-    sample range and as a coefficient identity of q(x) - (-1)^d q(-x-1)."""
+    sample range and as a coefficient identity of q(x) - (-1)^d q(-x-1).
+
+    The identity decides.  The sampled values cross-check it: r(x) =
+    q(x) - (-1)^d q(-x-1) satisfies r(-x-1) = -(-1)^d r(x), so zeros at
+    0..n_max are zeros at -1..-n_max-1 too, and when those 2(n_max + 1) zeros
+    outnumber the degree of q they force r = 0.  A disagreement that the
+    identity or that count rules out is an internal error."""
     if q.period != 1:
         raise PeriodNotOne("symmetry test requires a genuine polynomial", period=q.period)
     sign = (-1) ** d
@@ -237,4 +243,10 @@ def hilbert_symmetry_check(q: QuasiPolynomial, d: int, n_max: int) -> bool:
         reflected = _poly.times_linear(reflected, -1, -1)
         reflected[0] += c
     identity_ok = reflected == [sign * c for c in scaled]
-    return values_ok and identity_ok
+    if values_ok != identity_ok and (identity_ok or 2 * (n_max + 1) > q.degree):
+        raise InternalInconsistency(
+            "sampled values and coefficient identity of the symmetry test disagree",
+            values_ok=values_ok,
+            identity_ok=identity_ok,
+        )
+    return identity_ok

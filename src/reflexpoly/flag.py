@@ -130,8 +130,10 @@ def build_root_system(type_label: str, rank: int) -> RootSystemData:
     """Exact root, coroot, and pairing tables for one of the supported types.
 
     Positive roots are generated by the standard root-string closure from
-    the Cartan matrix; the count is asserted against the classical formula.
-    Ranks above _MAX_RANK raise UnsupportedType.
+    the Cartan matrix; the count is asserted against the classical formula,
+    and the closure stops as soon as it exceeds it, so a Cartan matrix of
+    infinite type raises instead of running on.  Ranks above _MAX_RANK raise
+    UnsupportedType.
     """
     if rank > _MAX_RANK:
         raise UnsupportedType("rank exceeds the supported maximum", rank=rank, max_rank=_MAX_RANK)
@@ -139,6 +141,7 @@ def build_root_system(type_label: str, rank: int) -> RootSystemData:
     if label == "G":
         label = "G2"
     cartan, norm2, sym = _cartan_and_norms(label, rank)
+    expected = _KNOWN_COUNTS[label](rank)
 
     roots: dict[tuple[int, ...], None] = {}
     for i in range(rank):
@@ -164,10 +167,13 @@ def build_root_system(type_label: str, rank: int) -> RootSystemData:
                     if up not in roots:
                         roots[up] = None
                         new_frontier.append(up)
+                        if len(roots) > expected:
+                            raise InternalInconsistency(
+                                "positive root count mismatch", got=len(roots), expected=expected
+                            )
         frontier = new_frontier
 
     ordered = sorted(roots, key=lambda c: (sum(c), c))
-    expected = _KNOWN_COUNTS[label](rank)
     if len(ordered) != expected:
         raise InternalInconsistency(
             "positive root count mismatch", got=len(ordered), expected=expected

@@ -29,7 +29,7 @@ from pathlib import Path
 from . import ehrhart, toric
 from .classify import _anchor_pass, _dual_fano
 from .errors import GenerationExhausted, InternalInconsistency, LowerDimensional, ReflexError, ScaleExceeded
-from .polytope import Polytope, from_hrep, from_json, from_vrep, translate
+from .polytope import Polytope, from_hrep, from_json, from_vrep, lattice_points, translate
 from .rationals import format_rational
 
 _RETRY_CAP = 64
@@ -231,7 +231,8 @@ def test_conjecture_dualfano(cfg: FuzzConfig) -> FuzzReport:
             if stream % 2 == 0
             else random_polytope(cfg, stream)
         )
-        interior, anchor, ks, fano_dual, _ = _anchor_pass(poly, cfg.budget)
+        interior = lattice_points(poly, strict=True, budget=cfg.budget)
+        anchor, ks, fano_dual, _ = _anchor_pass(poly, interior)
         di, dfano = anchor is not None, _dual_fano(ks, fano_dual)
         if dfano and not di:
             raise InternalInconsistency("dual-Fano without dual-integral", stream=stream)
@@ -279,7 +280,8 @@ def reverify_counterexample(conjecture: str, entry: dict, budget=None) -> bool:
             and weil != qp.is_polynomial()
         )
     if conjecture == "dualfano":
-        _, anchor, ks, fano_dual, _ = _anchor_pass(poly, budget)
+        interior = lattice_points(poly, strict=True, budget=budget)
+        anchor, ks, fano_dual, _ = _anchor_pass(poly, interior)
         di, dfano = anchor is not None, _dual_fano(ks, fano_dual)
         return (
             di == entry["is_dual_integral"]

@@ -223,11 +223,12 @@ def _primitive(v: Sequence[int]) -> tuple[int, ...]:
 
 def primitive_integer_vector(vec: Sequence[Fraction]) -> tuple[tuple[int, ...], Fraction]:
     """(u, s) with u = s * vec the primitive integer vector of a nonzero
-    Fraction vector, and s > 0."""
+    Fraction vector, and s > 0: with q the lcm of the denominators, q * vec
+    is an integer vector w, and s = q / gcd(w)."""
     q = math.lcm(*(x.denominator for x in vec))
-    u = _primitive([int(x * q) for x in vec])
-    k = next(i for i, c in enumerate(u) if c)
-    return u, Fraction(u[k]) / vec[k]
+    w = [x.numerator * (q // x.denominator) for x in vec]
+    g = math.gcd(*w)
+    return tuple(c // g for c in w), Fraction(q, g)
 
 
 def _incidence(masks: Sequence[int], bits: range) -> list[int]:
@@ -362,22 +363,29 @@ def from_json(obj: dict) -> Polytope:
 def polar_dual(p: Polytope) -> Polytope:
     """{y : <x, y> <= 1 on p}, read off p's canonical form with no hull: each
     facet <x, u> <= b gives the vertex u/b, each vertex v the facet <y, v> <= 1
-    made primitive.  Requires 0 strictly interior, which makes both exact."""
+    made primitive.  Requires 0 strictly interior, which makes both exact.
+    With b = n/q, the vertex coordinate c/b is built once as (c q)/n."""
     if any(h.offset <= 0 for h in p.hrep):
         raise OriginNotInterior(
             "polar dual needs 0 in the interior; translate first",
             offsets=[h.offset for h in p.hrep],
         )
-    vertices = [tuple(Fraction(c) / h.offset for c in h.normal) for h in p.hrep]
+    vertices = [
+        tuple(Fraction(c * h.offset.denominator, h.offset.numerator) for c in h.normal)
+        for h in p.hrep
+    ]
     facets = [HalfSpace(*primitive_integer_vector(v)) for v in p.vrep]
     return _assemble(p.dim, vertices, sorted(facets, key=lambda h: h.normal))
 
 
 def translate(p: Polytope, v) -> Polytope:
-    """Shift by a rational vector: vertices move, offsets gain <v, u>."""
+    """Shift by a rational vector: vertices move, offsets gain <v, u>.  An
+    integral shift runs on its numerators, so each output is Fraction + int."""
     vec = parse_vector(v)
     if len(vec) != p.dim:
         raise InvalidInput("translation vector has wrong length")
+    if all(c.denominator == 1 for c in vec):
+        vec = tuple(c.numerator for c in vec)
     hrep = tuple(
         HalfSpace(h.normal, h.offset + sum(c * x for c, x in zip(h.normal, vec)))
         for h in p.hrep

@@ -6,6 +6,8 @@ numeric comparison is exact (tolerance zero) because all arithmetic is
 rational.
 """
 
+import hashlib
+import json
 import math
 import time
 from contextlib import contextmanager
@@ -146,6 +148,17 @@ def test_criterion_implication_chain(corpus200, dual_integral_50):
             assert not r.is_quasi_reflexive or r.is_dual_fano
             assert not r.is_dual_fano or r.is_dual_integral
             assert r.is_quasi_reflexive == (r.is_dual_integral and r.is_lattice)
+
+
+# sha256 of the 250 classify reports as compact, key-sorted JSON; any change
+# to a flag, an interior point list, an anchor or a facet integer moves it
+CORPUS250_CLASSIFY_SHA256 = "c80910a36a9ea1ad9a7adcd2b9c9fed30cc1f958e28561e2222cf81f07b3e200"
+
+
+def test_corpus250_classify_digest(corpus200, dual_integral_50):
+    reports = [classify(p).to_json() for p in corpus200 + dual_integral_50]
+    text = json.dumps(reports, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS250_CLASSIFY_SHA256
 
 
 def _rounded_down_count(p, n):

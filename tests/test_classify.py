@@ -1,12 +1,15 @@
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reflexpoly import (
     classify,
     dilate,
+    ehrhart_quasi_polynomial,
     from_hrep,
     from_vrep,
     hibi_symmetry_check,
@@ -20,9 +23,10 @@ from reflexpoly import (
     translate,
     two_dim_criterion,
 )
-from reflexpoly.errors import DimensionMismatch, NotQuasiLattice
+from reflexpoly.errors import DimensionMismatch, LowerDimensional, NotQuasiLattice, ScaleExceeded
 from reflexpoly.fuzz import FuzzConfig, dual_integral_polytope, random_polytope
 from reflexpoly.fuzz import test_conjecture_dualfano as run_dualfano
+from test_polytope import _mat_vec, unimodular_affine_maps
 
 
 class TestElementaryFlags:
@@ -190,6 +194,77 @@ class TestCrossOracles:
         assert is_dual_integral(p)[0] == is_dual_integral(t)[0]
         assert is_dual_fano(p) == is_dual_fano(t)
         assert is_quasi_reflexive(p) == is_quasi_reflexive(t)
+
+
+_DUAL_INTEGRAL = FuzzConfig(
+    dim=2, samples=1, seed=5, max_coordinate=3, max_denominator=2,
+    normal_entry_bound=1, max_facet_integer=3,
+)
+_small_rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
+
+
+@st.composite
+def small_polytopes(draw):
+    """Hulls of 1D-3D points with denominators <= 2, or dual-integral
+    triangles and quadrilaterals, so both anchor outcomes are drawn."""
+    if draw(st.booleans()):
+        return dual_integral_polytope(_DUAL_INTEGRAL, draw(st.integers(0, 500)))
+    d = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[_small_rational] * d), min_size=d + 1, max_size=d + 3))
+    try:
+        return from_vrep(pts)
+    except LowerDimensional:
+        return draw(st.nothing())
+
+
+class TestUnimodularInvariance:
+    """classify commutes with x -> Ux + z for unimodular U and integer z:
+    the flags and the quasi-polynomial stay, interior points and the anchor
+    move with the map, and each facet integer moves with its normal
+    (u -> U^-T u)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_classify_commutes_with_unimodular_maps(self, data):
+        p = data.draw(small_polytopes())
+        m, m_inv_t, z = data.draw(unimodular_affine_maps(p.dim))
+
+        def image_of(v):
+            return tuple(a + b for a, b in zip(_mat_vec(m, v), z))
+
+        image = from_vrep([image_of(v) for v in p.vrep])
+        try:
+            before, after = classify(p), classify(image)
+        except ScaleExceeded:
+            return  # a shear can stretch a dilation box past the budget
+        flags = ("is_lattice", "is_quasi_reflexive", "is_dual_fano", "is_dual_integral",
+                 "is_quasi_lattice")
+        if not any(z):  # Fano and reflexive refer to the origin itself
+            flags += ("is_fano", "is_reflexive")
+        assert [getattr(before, f) for f in flags] == [getattr(after, f) for f in flags]
+        assert ehrhart_quasi_polynomial(image) == ehrhart_quasi_polynomial(p)
+        moved = sorted(image_of(pt) for pt in before.interior_lattice_points.points)
+        assert list(after.interior_lattice_points.points) == moved
+        assert after.anchor == (None if before.anchor is None else image_of(before.anchor))
+        if before.facet_integers is None:
+            assert after.facet_integers is None
+        else:
+            ks = {_mat_vec(m_inv_t, h.normal): k for h, k in zip(p.hrep, before.facet_integers)}
+            assert dict(zip((h.normal for h in image.hrep), after.facet_integers)) == ks
+
+
+class TestBudgetOrder:
+    def test_reconstruction_budget_raises_before_the_point_pass(self):
+        """The cube [-20, 20]^3 has 59,319 interior points, but its sixth
+        dilation's box (241^3 points) exceeds the default budget; classify
+        raises that before visiting any interior point."""
+        cube = from_hrep([(tuple(s * int(i == j) for j in range(3)), 20)
+                          for i in range(3) for s in (1, -1)], 3)
+        start = time.perf_counter()
+        with pytest.raises(ScaleExceeded) as exc:
+            classify(cube)
+        assert time.perf_counter() - start < 2.0
+        assert exc.value.payload()["context"] == {"box": 13997521, "budget": 10000000}
 
 
 def _count_calls(monkeypatch, calls, name, strict_only=False):

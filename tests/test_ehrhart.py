@@ -26,6 +26,7 @@ from reflexpoly.ehrhart import vertex_denominator_lcm
 from reflexpoly.polytope import integer_bounding_box
 from reflexpoly.errors import (
     CollapsedPolytope,
+    InternalInconsistency,
     LowerDimensional,
     PeriodNotOne,
     ScaleExceeded,
@@ -198,6 +199,32 @@ class TestHilbertSymmetry:
         q = ehrhart_quasi_polynomial(half_segment)
         with pytest.raises(PeriodNotOne):
             hilbert_symmetry_check(q, 1, 5)
+
+    def test_sample_below_the_degree_can_miss_asymmetry(self):
+        # q = x(x+1)(2x+1)/4: q(0) = q(-1) = 0, but q(1) = 3/2 and q(-2) = -3/2
+        q = QuasiPolynomial.from_constituents(
+            [(Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1, 2))]
+        )
+        assert not hilbert_symmetry_check(q, 2, 0)
+        assert not hilbert_symmetry_check(q, 2, 1)
+
+    def test_corrupted_value_disagrees_with_identity(self, monkeypatch):
+        q = QuasiPolynomial.from_constituents([(Fraction(1), Fraction(6), Fraction(12), Fraction(8))])
+        evaluate = QuasiPolynomial.evaluate
+        monkeypatch.setattr(
+            QuasiPolynomial, "evaluate", lambda self, n: evaluate(self, n) + (n == 3)
+        )
+        with pytest.raises(InternalInconsistency, match="symmetry test disagree") as exc:
+            hilbert_symmetry_check(q, 3, 5)
+        assert exc.value.context == {"values_ok": False, "identity_ok": True}
+
+    def test_corrupted_values_disagree_with_failed_identity(self, monkeypatch):
+        # (n+1)^2 is not symmetric, and 2(n_max + 1) sampled zeros exceed its degree
+        q = QuasiPolynomial.from_constituents([(Fraction(1), Fraction(2), Fraction(1))])
+        monkeypatch.setattr(QuasiPolynomial, "evaluate", lambda self, n: Fraction(0))
+        with pytest.raises(InternalInconsistency, match="symmetry test disagree") as exc:
+            hilbert_symmetry_check(q, 2, 5)
+        assert exc.value.context == {"values_ok": True, "identity_ok": False}
 
 
 def rounded_down_count(p, n):

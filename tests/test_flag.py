@@ -1,7 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
+from reflexpoly import flag
 from reflexpoly import (
     ParabolicChoice,
     anticanonical_weight,
@@ -12,7 +14,7 @@ from reflexpoly import (
     parabolic_positive_roots,
     string_polytope_cross_check,
 )
-from reflexpoly.errors import NotPRegular, UnsupportedType
+from reflexpoly.errors import InternalInconsistency, NotPRegular, UnsupportedType
 from reflexpoly.flag import dominant_p_regular_weights
 
 
@@ -45,6 +47,18 @@ def test_rank_cap_is_inclusive():
     with pytest.raises(UnsupportedType) as exc:
         build_root_system("A", 17)
     assert exc.value.context == {"rank": 17, "max_rank": 16}
+
+
+def test_root_closure_stops_on_an_infinite_type(monkeypatch):
+    """The affine A1 Cartan matrix has infinitely many positive roots; the
+    closure raises as soon as it holds more than the expected count."""
+    affine = ((2, -2), (-2, 2))
+    monkeypatch.setattr(flag, "_cartan_and_norms", lambda label, rank: (affine, [2, 2], affine))
+    start = time.perf_counter()
+    with pytest.raises(InternalInconsistency, match="positive root count mismatch") as exc:
+        build_root_system("A", 2)
+    assert time.perf_counter() - start < 2.0
+    assert exc.value.context == {"got": 4, "expected": 3}
 
 
 def test_rho_pairs_to_one_on_simples():

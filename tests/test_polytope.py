@@ -609,6 +609,26 @@ def test_hull_commutes_with_unimodular_maps(data):
         assert count_lattice_points(image, strict) == count_lattice_points(p, strict)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_translate_matches_hull_of_shifted_vertices(data):
+    """An integer shift given as ints or as Fractions, and a rational shift,
+    each equal the canonical hull of the shifted vertices; repr compares the
+    coordinate and offset types too, so an int cannot stand in for a
+    Fraction."""
+    p = _full_dim_hull(data.draw(points_1d_to_4d))
+    if p is None:
+        return
+    z = data.draw(st.tuples(*[st.integers(-5, 5)] * p.dim))
+    r = data.draw(st.tuples(*[rational] * p.dim))
+    by_ints = translate(p, z)
+    by_fractions = translate(p, tuple(Fraction(c) for c in z))
+    rebuilt = from_vrep([tuple(a + b for a, b in zip(v, z)) for v in p.vrep])
+    assert repr(by_ints) == repr(by_fractions) == repr(rebuilt)
+    shifted = translate(p, r)
+    assert repr(shifted) == repr(from_vrep([tuple(a + b for a, b in zip(v, r)) for v in p.vrep]))
+
+
 # -- desk-scale caps -----------------------------------------------------------
 
 def _sphere_cloud(seed, d, n, radius):

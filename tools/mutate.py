@@ -2,10 +2,14 @@
 
     python tools/mutate.py src/reflexpoly/_scan.py \
         --tests tests/test_scan.py tests/test_work_budget.py [--timeout 120]
+    python tools/mutate.py src/reflexpoly/polytope.py \
+        --function translate --function polar_dual --tests tests/test_polytope.py
 
 The operators are the selective set of Offutt, Lee, Rothermel, Untch & Zapf
 (ACM TOSEM 1996): < <-> <=, > <-> >=, == <-> !=, floor division to ceiling
 division, integer constants +1 and -1, and <-> or, and a dropped `not`.
+With ``--function NAME`` (repeatable) only the sites inside the named
+top-level functions of the given modules are mutated.
 Each mutant is applied alone to a temporary copy of src/ (with tests/ beside
 it), never to the repository, and the named tests run on it with `-x -q`
 under a per-mutant timeout.  A mutant is killed when the tests fail or time
@@ -44,9 +48,14 @@ def _key(node):
     return (type(node), node.lineno, node.col_offset, node.end_lineno, node.end_col_offset)
 
 
-def mutants(tree):
-    """Yield (node, variant, operator name) for every mutation site."""
-    for node in ast.walk(tree):
+def mutants(tree, functions=None):
+    """Yield (node, variant, operator name) for every mutation site, only
+    inside the top-level functions named in ``functions`` when given."""
+    roots = [tree] if functions is None else [
+        f for f in tree.body
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f.name in functions
+    ]
+    for node in (n for root in roots for n in ast.walk(root)):
         if isinstance(node, ast.Compare):
             for k, op in enumerate(node.ops):
                 if type(op) in _SWAP:
@@ -107,9 +116,21 @@ def main(argv=None) -> int:
     parser.add_argument("files", nargs="+", help="modules to mutate, relative to the repo root")
     parser.add_argument("--tests", nargs="+", required=True, help="pytest paths to run")
     parser.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant")
+    parser.add_argument(
+        "--function", action="append", dest="functions", metavar="NAME",
+        help="mutate only inside this top-level function (repeatable)",
+    )
     args = parser.parse_args(argv)
+    if args.functions:
+        defined = {
+            f.name for rel in args.files for f in ast.parse((ROOT / rel).read_text()).body
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        missing = sorted(set(args.functions) - defined)
+        if missing:
+            parser.error(f"no top-level function named {', '.join(missing)} in {' '.join(args.files)}")
 
-    result = {"tests": args.tests, "total": 0, "killed": [], "survived": []}
+    result = {"tests": args.tests, "functions": args.functions, "total": 0, "killed": [], "survived": []}
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         workdir = Path(tmp)
         for part in ("src", "tests"):
@@ -120,7 +141,7 @@ def main(argv=None) -> int:
         for rel in args.files:
             target = workdir / rel
             source = target.read_text()
-            for node, variant, operator in list(mutants(ast.parse(source))):
+            for node, variant, operator in list(mutants(ast.parse(source), args.functions)):
                 mutant = {"where": f"{rel}:{node.lineno}", "operator": operator}
                 target.write_text(mutated_source(source, _key(node), variant))
                 start = time.perf_counter()
