@@ -82,8 +82,9 @@ def is_reflexive(p: Polytope) -> bool:
 def _anchor_pass(p: Polytope, interior: LatticePointSet):
     """Visit each interior lattice point z of p once, translating and
     dualizing once.  Returns the first z at which every support value of
-    p - z is 1/k with its k-list, and the direct tests: whether some
-    polar_dual(p - z) is Fano and some p - z is reflexive."""
+    p - z is 1/k, its k-list, and the dual-Fano and quasi-reflexive flags,
+    each checked against its direct test (some polar_dual(p - z) is Fano,
+    some p - z is reflexive); a disagreement raises."""
     anchor = ks = None
     fano_dual = reflexive = False
     for z in interior.points:
@@ -93,26 +94,19 @@ def _anchor_pass(p: Polytope, interior: LatticePointSet):
             anchor, ks = z, tuple(h.offset.denominator for h in shifted.hrep)
         fano_dual = fano_dual or is_fano(dual)
         reflexive = reflexive or (is_lattice_polytope(shifted) and is_lattice_polytope(dual))
-    return anchor, ks, fano_dual, reflexive
-
-
-def _dual_fano(ks, via_dual: bool) -> bool:
-    via_offsets = ks is not None and all(k == 1 for k in ks)
-    if via_offsets != via_dual:
-        raise InternalInconsistency(
-            "support-value and dual-polytope characterizations of dual-Fano disagree",
-            via_offsets=via_offsets, via_dual=via_dual,
-        )
-    return via_offsets
-
-
-def _quasi_reflexive(composed: bool, direct: bool) -> bool:
-    if composed != direct:
+    quasi_reflexive = is_lattice_polytope(p) and anchor is not None
+    if quasi_reflexive != reflexive:
         raise InternalInconsistency(
             "composed and direct quasi-reflexivity tests disagree",
-            composed=composed, direct=direct,
+            composed=quasi_reflexive, direct=reflexive,
         )
-    return composed
+    dual_fano = ks is not None and all(k == 1 for k in ks)
+    if dual_fano != fano_dual:
+        raise InternalInconsistency(
+            "support-value and dual-polytope characterizations of dual-Fano disagree",
+            via_offsets=dual_fano, via_dual=fano_dual,
+        )
+    return anchor, ks, dual_fano, quasi_reflexive
 
 
 def is_dual_integral(
@@ -128,15 +122,13 @@ def is_dual_integral(
 def is_dual_fano(p: Polytope, budget=None) -> bool:
     """Dual-integral with every facet integer 1; cross-checked against the
     direct definition (the translated dual is a Fano polytope)."""
-    _, ks, fano_dual, _ = _anchor_pass(p, lattice_points(p, strict=True, budget=budget))
-    return _dual_fano(ks, fano_dual)
+    return _anchor_pass(p, lattice_points(p, strict=True, budget=budget))[2]
 
 
 def is_quasi_reflexive(p: Polytope, budget=None) -> bool:
     """Lattice polytope and dual-integral; cross-checked against the direct
     definition (some lattice translate is reflexive)."""
-    anchor, _, _, reflexive = _anchor_pass(p, lattice_points(p, strict=True, budget=budget))
-    return _quasi_reflexive(is_lattice_polytope(p) and anchor is not None, reflexive)
+    return _anchor_pass(p, lattice_points(p, strict=True, budget=budget))[3]
 
 
 def classify(p: Polytope, budget=None) -> ClassificationReport:
@@ -146,14 +138,13 @@ def classify(p: Polytope, budget=None) -> ClassificationReport:
     the budget raises ScaleExceeded before any interior point is visited."""
     interior = lattice_points(p, strict=True, budget=budget)
     quasi_lattice = ehrhart.is_quasi_lattice(p, budget)
-    anchor, ks, fano_dual, reflexive = _anchor_pass(p, interior)
-    lattice = is_lattice_polytope(p)
+    anchor, ks, dual_fano, quasi_reflexive = _anchor_pass(p, interior)
     report = ClassificationReport(
-        is_lattice=lattice,
+        is_lattice=is_lattice_polytope(p),
         is_fano=is_fano(p),
         is_reflexive=is_reflexive(p),
-        is_quasi_reflexive=_quasi_reflexive(lattice and anchor is not None, reflexive),
-        is_dual_fano=_dual_fano(ks, fano_dual),
+        is_quasi_reflexive=quasi_reflexive,
+        is_dual_fano=dual_fano,
         is_dual_integral=anchor is not None,
         is_quasi_lattice=quasi_lattice,
         interior_lattice_points=interior,

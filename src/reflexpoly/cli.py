@@ -127,7 +127,7 @@ def _cmd_ehrhart(args) -> int:
     qp = ehrhart_mod.ehrhart_quasi_polynomial(poly, args.budget)
     out = _quasi_polynomial_json(qp)
     if args.nmax is not None:
-        out["counts"] = [ehrhart_mod.count(poly, n, args.budget) for n in range(args.nmax + 1)]
+        out["counts"] = ehrhart_mod.count_up_to(poly, args.nmax, args.budget)
     _emit(out, args.format, lambda o: o["text"])
     return 0
 

@@ -18,9 +18,13 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from . import _poly
-from .errors import InternalInconsistency, PeriodNotOne, ValidationFailed
+from .errors import InternalInconsistency, PeriodNotOne, ScaleExceeded, ValidationFailed
 from .polytope import Polytope, count_dilations, vertex_denominator_lcm
 from .rationals import format_rational, parse_rational
+
+# Desk-scale cap on the dilations one reconstruction scans, T(2d+1) - 1: the
+# budget bounds each box, not how many there are.
+_MAX_DILATIONS = 2**16
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,18 @@ def count_interior(p: Polytope, n: int, budget: int | None = None) -> int:
 
 
 def count_sequence(p: Polytope, n_max: int, budget: int | None = None) -> CountSequence:
+    """Both sequences up to n_max, one scan each; the boxes are checked in
+    the order of n, so the first one over the budget raises."""
+    ns = range(1, n_max + 1)
     return CountSequence(
-        values={n: count(p, n, budget) for n in range(0, n_max + 1)},
-        interior_values={n: count_interior(p, n, budget) for n in range(1, n_max + 1)},
+        values=dict(enumerate(count_up_to(p, n_max, budget))),
+        interior_values=dict(zip(ns, count_dilations(p, ns, strict=True, budget=budget))),
     )
+
+
+def count_up_to(p: Polytope, n_max: int, budget: int | None = None) -> list[int]:
+    """[L(0), ..., L(n_max)] in one scan, L(0) = 1; empty when n_max < 0."""
+    return ([1] + count_dilations(p, range(1, n_max + 1), budget=budget))[: n_max + 1]
 
 
 def ehrhart_quasi_polynomial(p: Polytope, budget: int | None = None) -> QuasiPolynomial:
@@ -124,11 +136,17 @@ def ehrhart_quasi_polynomial(p: Polytope, budget: int | None = None) -> QuasiPol
     scan over all residues.  The degree-<=d constituent is fixed by the
     first d+1 of them, and each of the d held-out counts must equal its
     Newton-form value; any mismatch aborts, since it would mean the kernel
-    counted wrong.  The period is then minimized.
+    counted wrong.  The period is then minimized.  More than _MAX_DILATIONS
+    dilations raise ScaleExceeded before any node is listed.
     """
     d = p.dim
     T = vertex_denominator_lcm(p)
     m = 2 * d + 1  # nodes per residue
+    if T * m - 1 > _MAX_DILATIONS:
+        raise ScaleExceeded(
+            "reconstruction needs more dilations than the desk-scale cap",
+            period=T, dilations=T * m - 1, max_dilations=_MAX_DILATIONS,
+        )
     nodes = [r + k * T for r in range(T) for k in range(m)]
     counts = [1] + count_dilations(p, nodes[1:], budget=budget)  # nodes[0] is n = 0
     constituents = [_constituent(r, T, d, counts[r * m : r * m + m]) for r in range(T)]

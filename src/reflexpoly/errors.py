@@ -70,7 +70,8 @@ class CollapsedPolytope(ReflexError):
 
 
 class ScaleExceeded(ReflexError):
-    """A lattice scan would exceed the enumeration budget."""
+    """A lattice scan would exceed the enumeration budget, or a
+    reconstruction the desk-scale cap on its dilations."""
 
 
 # -- ehrhart -----------------------------------------------------------------

@@ -22,13 +22,13 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from . import ehrhart, toric
-from .classify import _anchor_pass, _dual_fano
-from .errors import GenerationExhausted, InternalInconsistency, LowerDimensional, ReflexError, ScaleExceeded
+from .classify import _anchor_pass
+from .errors import GenerationExhausted, InternalInconsistency, ReflexError, ScaleExceeded
 from .polytope import Polytope, from_hrep, from_json, from_vrep, lattice_points, translate
 from .rationals import format_rational
 
@@ -53,16 +53,7 @@ class FuzzConfig:
             raise ValueError("all bounds must be positive")
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_coordinate": self.max_coordinate,
-            "max_denominator": self.max_denominator,
-            "budget": self.budget,
-            "normal_entry_bound": self.normal_entry_bound,
-            "max_facet_integer": self.max_facet_integer,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -94,32 +85,36 @@ class FuzzReport:
         return json.dumps(self.to_json(), indent=2)
 
 
-def _rng(cfg: FuzzConfig, stream: str | int, kind: str) -> random.Random:
-    r = random.Random()
-    r.seed(f"{cfg.seed}:{kind}:{stream}", version=2)
-    return r
+def _generate(cfg: FuzzConfig, stream: int, kind: str, build, message: str) -> Polytope:
+    """Call build(rng) until it returns a polytope instead of raising a
+    ReflexError, at most _RETRY_CAP times.  rng is seeded by (seed, kind,
+    stream) alone, so every stream is reproducible on its own."""
+    rng = random.Random(f"{cfg.seed}:{kind}:{stream}")
+    for _ in range(_RETRY_CAP):
+        try:
+            return build(rng)
+        except ReflexError:
+            continue
+    raise GenerationExhausted(message, stream=stream)
 
 
 def random_polytope(cfg: FuzzConfig, stream: int) -> Polytope:
     """Hull of d+1 .. 2d+2 bounded random rational points; resamples until
     full-dimensional, deterministically in (seed, stream)."""
-    rng = _rng(cfg, stream, "uniform")
     d = cfg.dim
-    for _ in range(_RETRY_CAP):
-        npts = rng.randint(d + 1, 2 * d + 2)
+
+    def build(rng):
         pts = []
-        for _ in range(npts):
+        for _ in range(rng.randint(d + 1, 2 * d + 2)):
             coords = []
             for _ in range(d):
                 den = rng.randint(1, cfg.max_denominator)
                 num = rng.randint(-cfg.max_coordinate * den, cfg.max_coordinate * den)
                 coords.append(Fraction(num, den))
             pts.append(tuple(coords))
-        try:
-            return from_vrep(pts)
-        except LowerDimensional:
-            continue
-    raise GenerationExhausted("no full-dimensional hull found", stream=stream)
+        return from_vrep(pts)
+
+    return _generate(cfg, stream, "uniform", build, "no full-dimensional hull found")
 
 
 def _random_primitive_normal(rng: random.Random, d: int, bound: int) -> tuple[int, ...]:
@@ -133,46 +128,38 @@ def _random_primitive_normal(rng: random.Random, d: int, bound: int) -> tuple[in
 def integral_support_polytope(cfg: FuzzConfig, stream: int) -> Polytope:
     """Targeted generator: primitive normals with positive integer support
     values (the hypothesis family of the "quasilattice" claim)."""
-    rng = _rng(cfg, stream, "weil")
     d = cfg.dim
-    for _ in range(_RETRY_CAP):
-        m = rng.randint(d + 1, 2 * d + 2)
+
+    def build(rng):
         rows = [
             (
                 _random_primitive_normal(rng, d, cfg.normal_entry_bound),
                 rng.randint(1, cfg.max_coordinate),
             )
-            for _ in range(m)
+            for _ in range(rng.randint(d + 1, 2 * d + 2))
         ]
-        try:
-            return from_hrep(rows, d)
-        except ReflexError:
-            continue
-    raise GenerationExhausted("no bounded integral-support instance", stream=stream)
+        return from_hrep(rows, d)
+
+    return _generate(cfg, stream, "weil", build, "no bounded integral-support instance")
 
 
 def dual_integral_polytope(cfg: FuzzConfig, stream: int) -> Polytope:
     """Targeted generator: support values 1/k with random positive integers
     k, then a random lattice translation (the hypothesis family of the
     "dualfano" claim, anchored away from the origin)."""
-    rng = _rng(cfg, stream, "dualint")
     d = cfg.dim
-    for _ in range(_RETRY_CAP):
-        m = rng.randint(d + 1, 2 * d + 2)
+
+    def build(rng):
         rows = [
             (
                 _random_primitive_normal(rng, d, cfg.normal_entry_bound),
                 Fraction(1, rng.randint(1, cfg.max_facet_integer)),
             )
-            for _ in range(m)
+            for _ in range(rng.randint(d + 1, 2 * d + 2))
         ]
-        try:
-            poly = from_hrep(rows, d)
-        except ReflexError:
-            continue
-        shift = tuple(rng.randint(-2, 2) for _ in range(d))
-        return translate(poly, shift)
-    raise GenerationExhausted("no bounded reciprocal-support instance", stream=stream)
+        return translate(from_hrep(rows, d), tuple(rng.randint(-2, 2) for _ in range(d)))
+
+    return _generate(cfg, stream, "dualint", build, "no bounded reciprocal-support instance")
 
 
 def _skip_entry(stream: int, poly: Polytope, exc: ReflexError) -> dict:
@@ -232,8 +219,8 @@ def test_conjecture_dualfano(cfg: FuzzConfig) -> FuzzReport:
             else random_polytope(cfg, stream)
         )
         interior = lattice_points(poly, strict=True, budget=cfg.budget)
-        anchor, ks, fano_dual, _ = _anchor_pass(poly, interior)
-        di, dfano = anchor is not None, _dual_fano(ks, fano_dual)
+        anchor, ks, dfano, _ = _anchor_pass(poly, interior)
+        di = anchor is not None
         if dfano and not di:
             raise InternalInconsistency("dual-Fano without dual-integral", stream=stream)
         if di and interior.count != 1:
@@ -280,9 +267,8 @@ def reverify_counterexample(conjecture: str, entry: dict, budget=None) -> bool:
             and weil != qp.is_polynomial()
         )
     if conjecture == "dualfano":
-        interior = lattice_points(poly, strict=True, budget=budget)
-        anchor, ks, fano_dual, _ = _anchor_pass(poly, interior)
-        di, dfano = anchor is not None, _dual_fano(ks, fano_dual)
+        anchor, _, dfano, _ = _anchor_pass(poly, lattice_points(poly, strict=True, budget=budget))
+        di = anchor is not None
         return (
             di == entry["is_dual_integral"]
             and dfano == entry["is_dual_fano"]

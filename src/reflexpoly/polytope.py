@@ -357,6 +357,15 @@ def from_json(obj: dict) -> Polytope:
     raise InvalidInput("polytope JSON needs 'hrep' or 'vrep'")
 
 
+def parse_integer_vector(values, message: str, key: str) -> tuple[int, ...]:
+    """parse_vector for integer vectors: an entry that is not an integer
+    raises InvalidInput(message) with the parsed vector as context[key]."""
+    vec = parse_vector(values)
+    if any(c.denominator != 1 for c in vec):
+        raise InvalidInput(message, **{key: vec})
+    return tuple(c.numerator for c in vec)
+
+
 # -- elementary operations -----------------------------------------------------
 
 
@@ -480,12 +489,15 @@ def count_dilations(
 def count_in_box(halfspaces, lo, hi, strict: bool = False, budget: int | None = None) -> int:
     """Count integer points of an arbitrary halfspace system over an explicit
     box.  Unlike the Polytope constructors this accepts empty or
-    lower-dimensional solution sets; the caller owns the box."""
+    lower-dimensional solution sets; the caller owns the box.  Normals and
+    box corners must be integer vectors: nothing is truncated."""
+    lo = parse_integer_vector(lo, "box corners must be integer vectors", "lo")
+    hi = parse_integer_vector(hi, "box corners must be integer vectors", "hi")
     _check_budget(lo, hi, budget)
     normals, nums, dens = [], [], []
     for normal, offset in halfspaces:
-        normals.append(tuple(int(c) for c in normal))
+        normals.append(parse_integer_vector(normal, "normals must be integer vectors", "normal"))
         b = parse_rational(offset)
         nums.append(b.numerator)
         dens.append(b.denominator)
-    return _scan.scan_counts([(1, tuple(lo), tuple(hi))], normals, nums, dens, strict)[0]
+    return _scan.scan_counts([(1, lo, hi)], normals, nums, dens, strict)[0]

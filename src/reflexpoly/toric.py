@@ -23,9 +23,10 @@ from .polytope import (
     from_hrep,
     integer_bounding_box,
     normal_fan_rays,
+    parse_integer_vector,
     round_up,
 )
-from .rationals import format_rational, parse_rational, parse_vector
+from .rationals import format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -58,18 +59,14 @@ class ToricDivisorData:
     def from_json(cls, obj: dict) -> "ToricDivisorData":
         if not isinstance(obj, dict):
             raise InvalidInput("divisor JSON must be an object")
-        rays = tuple(_parse_ray(r) for r in obj["rays"])
+        # a string ray is not split into digits, and a float or a fraction is
+        # refused rather than truncated
+        rays = tuple(
+            parse_integer_vector(r, "fan rays must be integer vectors", "ray")
+            for r in obj["rays"]
+        )
         coeffs = tuple(parse_rational(c) for c in obj["coefficients"])
         return cls(FanRays(rays), coeffs)
-
-
-def _parse_ray(value) -> tuple[int, ...]:
-    """A ray as a list of integers: a string is not split into digits, and a
-    float or a fraction is refused rather than truncated."""
-    vec = parse_vector(value)
-    if any(c.denominator != 1 for c in vec):
-        raise InvalidInput("fan rays must be integer vectors", ray=vec)
-    return tuple(int(c) for c in vec)
 
 
 def divisor_from_polytope(p: Polytope) -> ToricDivisorData:

@@ -23,9 +23,16 @@ from reflexpoly import (
     translate,
     two_dim_criterion,
 )
-from reflexpoly.errors import DimensionMismatch, LowerDimensional, NotQuasiLattice, ScaleExceeded
-from reflexpoly.fuzz import FuzzConfig, dual_integral_polytope, random_polytope
+from reflexpoly.errors import (
+    DimensionMismatch,
+    InternalInconsistency,
+    LowerDimensional,
+    NotQuasiLattice,
+    ScaleExceeded,
+)
+from reflexpoly.fuzz import FuzzConfig, dual_integral_polytope, random_polytope, reverify_counterexample
 from reflexpoly.fuzz import test_conjecture_dualfano as run_dualfano
+from conftest import triangle
 from test_polytope import _mat_vec, unimodular_affine_maps
 
 
@@ -265,6 +272,57 @@ class TestBudgetOrder:
             classify(cube)
         assert time.perf_counter() - start < 2.0
         assert exc.value.payload()["context"] == {"box": 13997521, "budget": 10000000}
+
+
+ENTRY_POINTS = {
+    "classify": classify,
+    "is_dual_integral": is_dual_integral,
+    "is_dual_fano": is_dual_fano,
+    "is_quasi_reflexive": is_quasi_reflexive,
+    "two_dim_criterion": two_dim_criterion,
+    "reverify_dualfano": lambda p: reverify_counterexample("dualfano", {"polytope": p.to_json()}),
+}
+
+
+class TestCrossChecksAbort:
+    """Each characterization that disagrees with its direct test aborts
+    with the same payload, whichever entry point ran the pass."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_dual_fano_disagreement(self, monkeypatch, dual_integral_triangle, entry):
+        # every translated dual reads as Fano, but the facet integers are (1, 1, 3);
+        # the dual-integral triangle is not quasi-lattice, so two_dim_criterion
+        # would refuse it first and gets the doubled reflexive triangle instead
+        monkeypatch.setattr(sys.modules["reflexpoly.classify"], "is_fano", lambda q: True)
+        p = dual_integral_triangle
+        if entry == "two_dim_criterion":
+            p = dilate(triangle(2, 3), 2)
+        with pytest.raises(InternalInconsistency) as exc:
+            ENTRY_POINTS[entry](p)
+        assert exc.value.payload() == {
+            "error": "InternalInconsistency",
+            "message": "support-value and dual-polytope characterizations of dual-Fano disagree",
+            "context": {"via_offsets": False, "via_dual": True},
+        }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_quasi_reflexive_disagreement(self, monkeypatch, reflexive_triangle, entry):
+        # duals pushed off the lattice: no translate reads as reflexive, though
+        # the lattice triangle is anchored at the origin; this check runs first
+        module = sys.modules["reflexpoly.classify"]
+        original = module.polar_dual
+
+        def off_lattice(q):
+            return translate(original(q), (Fraction(1, 2),) * q.dim)
+
+        monkeypatch.setattr(module, "polar_dual", off_lattice)
+        with pytest.raises(InternalInconsistency) as exc:
+            ENTRY_POINTS[entry](reflexive_triangle)
+        assert exc.value.payload() == {
+            "error": "InternalInconsistency",
+            "message": "composed and direct quasi-reflexivity tests disagree",
+            "context": {"composed": True, "direct": False},
+        }
 
 
 def _count_calls(monkeypatch, calls, name, strict_only=False):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,19 @@ class TestEhrhart:
         code, out, _ = run(capsys, "ehrhart", "--in", blob)
         assert code == 0
         assert json.loads(out)["constituents"] == [["1", "3", "3"]]
+
+    @pytest.mark.parametrize("T", [21846, 10**6, 10**9 + 7])
+    def test_dilation_cap(self, capsys, T):
+        # [0, 1/T] has tiny boxes but needs 3T - 1 dilations; the cap is 2^16
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ehrhart", "--in", json.dumps({"vrep": [[0], [f"1/{T}"]]}))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ScaleExceeded",
+            "message": "reconstruction needs more dilations than the desk-scale cap",
+            "context": {"period": T, "dilations": 3 * T - 1, "max_dilations": 65536},
+        }
 
 
 class TestDual:

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from conftest import GOLDEN
 from reflexpoly import from_json, is_weil, divisor_from_polytope, is_dual_integral
@@ -44,6 +47,21 @@ class TestGenerators:
         for i in range(10):
             p = integral_support_polytope(SMALL, i)
             assert is_weil(divisor_from_polytope(p))
+
+    # sha256 of streams 0-19 in dims 1-3 (seed 3, default bounds) as compact,
+    # key-sorted JSON: any change to a generator's draws or retries moves it
+    @pytest.mark.parametrize("generator, digest", [
+        (random_polytope, "1760bed075d76becc381f025a7694eccf5b71dac154f4ac50017b283882fa448"),
+        (integral_support_polytope,
+         "7fcd9314fa12b566452b95fd3827cd0742b81764965f0223957b5accad4f5da2"),
+        (dual_integral_polytope,
+         "776ef866f05b5224cd088f46ce7be7e0ff1e8fb53fc7657e5f8eb0ebb228fdef"),
+    ], ids=["uniform", "weil", "dualint"])
+    def test_streams_pinned(self, generator, digest):
+        out = [generator(FuzzConfig(dim=d, seed=3), i).to_json()
+               for d in (1, 2, 3) for i in range(20)]
+        text = json.dumps(out, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_dual_integral_instances_pass(self):
         for i in range(10):

@@ -2,20 +2,24 @@
 reconstruction costs.  Unlike timings these do not drift between runs, so
 they can gate."""
 
+import json
 import sys
+from fractions import Fraction
 
 import pytest
 
 from conftest import triangle
 from reflexpoly import _scan, classify, ehrhart_quasi_polynomial
+from reflexpoly.cli import main as cli_main
 from reflexpoly import polytope as polytope_module
-from reflexpoly.ehrhart import vertex_denominator_lcm
-from reflexpoly.errors import ScaleExceeded
+from reflexpoly.ehrhart import count, count_sequence, vertex_denominator_lcm
+from reflexpoly.errors import InvalidInput, ScaleExceeded
 from reflexpoly.fuzz import FuzzConfig, dual_integral_polytope, random_polytope
 from reflexpoly.polytope import (
     count_in_box,
     count_lattice_points,
     dilate,
+    from_hrep,
     from_vrep,
     integer_bounding_box,
     lattice_points,
@@ -72,6 +76,33 @@ def test_budget_counts_box_points():
         lattice_points(p, budget=11)
     assert exc.value.context == {"box": 12, "budget": 11}
     assert count_in_box([], (0, 0), (3, -1), budget=0) == 0
+
+
+def test_zero_dilation_at_budget_zero():
+    # n = 0 counts the origin without a scan, so no box is checked; scanning
+    # it would raise on its one-point box before the reconstruction's n = 1
+    segment = from_hrep([((-1,), 0), ((1,), 3)], 1)
+    assert count(segment, 0, budget=0) == 1
+    with pytest.raises(ScaleExceeded) as exc:
+        ehrhart_quasi_polynomial(segment, budget=0)
+    assert exc.value.context == {"box": 4, "budget": 0}
+
+
+@pytest.mark.parametrize(
+    "halfspaces, lo, hi, error",
+    [
+        ([((Fraction(1, 2),), 1)], (0,), (5,), InvalidInput),  # counted 6, not 3
+        ([((0.5,), 1)], (0,), (5,), ValueError),  # the same, as a float
+        ([((1,), 5)], (Fraction(1, 2),), (Fraction(5, 2),), InvalidInput),  # counted 3, not 2
+        ([((1,), 5)], (0.5,), (2.5,), ValueError),
+        ([((True,), 1)], (0,), (5,), ValueError),
+        ([((1,), 5)], (False,), (2,), ValueError),
+    ],
+    ids=["half-normal", "float-normal", "half-box", "float-box", "bool-normal", "bool-box"],
+)
+def test_count_in_box_refuses_what_it_would_truncate(halfspaces, lo, hi, error):
+    with pytest.raises(error):
+        count_in_box(halfspaces, lo, hi)
 
 
 class TestWorkCounts:
@@ -136,3 +167,27 @@ class TestWorkCounts:
             op()
             calls.append(len(kernel_batches))
         assert calls == [1, 1, 1, 1, 2, 2]
+
+    def test_count_sequence_one_batch_per_sequence(self, kernel_batches):
+        seq = count_sequence(triangle(2, 3), 6)
+        assert [len(b) for b in kernel_batches] == [6, 6]
+        assert list(seq.values.values()) == [1, 7, 19, 37, 61, 91, 127]  # 3n^2 + 3n + 1
+        assert list(seq.interior_values.values()) == [1, 7, 19, 37, 61, 91]  # 3n^2 - 3n + 1
+        # the boxes of n = 1..6 hold 12, 35, 70, 117, 176 and 247 points
+        with pytest.raises(ScaleExceeded) as exc:
+            count_sequence(triangle(2, 3), 6, budget=100)
+        assert exc.value.context == {"box": 117, "budget": 100}
+
+    def test_cli_nmax_one_batch(self, kernel_batches, capsys):
+        blob = triangle(2, 3).to_json()
+        argv = ["ehrhart", "--in", json.dumps(blob), "--nmax", "5", "--budget", "200"]
+        assert cli_main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["counts"] == [1, 7, 19, 37, 61, 91]
+        # one reconstruction batch, then one for n = 1..5
+        assert [len(b) for b in kernel_batches] == [4, 5]
+        assert cli_main(argv[:3] + ["--nmax", "8", "--budget", "200"]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ScaleExceeded",
+            "message": "bounding box exceeds enumeration budget",
+            "context": {"box": 247, "budget": 200},
+        }
