@@ -12,10 +12,17 @@ division, with c_i the last entry of u_i and u_i' the others:
     q_i c_i < 0:  x_d >= -(R_i // -(q_i c_i))
     c_i = 0:      the prefix is kept only when R_i >= 0
 
+The solve is facet-major: R holds one row per facet over a chunk of
+prefixes, each row is divided by its facet's scalar divisor, and the
+results are folded in place into the fiber ends, which start at the box's
+last-axis ends.
+
 One call scans a batch of dilations of the same facets, each (n, box) in
 turn: every prefix is tagged with the index of its dilation, and the chunks
 of prefixes run across the whole batch, so the numpy set-up is paid once per
-batch, not once per dilation.  A count sums the fiber lengths of each
+batch, not once per dilation.  A collect's chunk holds at most _CHUNK box
+points; a count materializes no points, so its chunks hold at least
+_CHUNK // 128 prefixes however wide the last axis is.  A count sums the fiber lengths of each
 dilation; a collect (a batch of one) emits each fiber as one run, so points
 come out in lexicographic order.  The one algorithm runs at two integer
 widths, the backends:
@@ -103,13 +110,14 @@ def default_backend_name() -> str:
 # -- the fiber algorithm -----------------------------------------------------
 
 
-def _fibers(batch, normals, nums, dens, strict, dtype):
+def _fibers(batch, normals, nums, dens, strict, dtype, min_step=1):
     """Yield (index, prefixes, first, last) for each chunk of prefixes of a
     batch of (n, lo, hi) scans, scan after scan and each in C order: the
     prefixes whose fiber is non-empty, the batch index of the scan each
-    belongs to, and the fiber's last-axis ends.  A chunk holds _CHUNK // w
-    prefixes, w the widest last axis of the batch, so at most _CHUNK box
-    points."""
+    belongs to, and the fiber's last-axis ends.  A chunk holds
+    max(min_step, _CHUNK // w) prefixes, w the widest last axis of the
+    batch, so at most _CHUNK box points when min_step is 1.  Row i of R
+    holds facet i's R_i over the chunk."""
     live = [(i, n, lo, hi) for i, (n, lo, hi) in enumerate(batch) if _box_volume(lo, hi)]
     if not live:
         return
@@ -120,36 +128,54 @@ def _fibers(batch, normals, nums, dens, strict, dtype):
     d = lo.shape[1]
     A = np.array(normals, dtype=dtype).reshape(len(normals), d)
     q = np.array(dens, dtype=dtype)
-    # row s holds each facet's n * p_i for scan s, less 1 when strict
-    offsets = n[:, None] * np.array(nums, dtype=dtype) - int(strict)
+    # column s holds each facet's n * p_i for scan s, less 1 when strict
+    offsets = np.array(nums, dtype=dtype)[:, None] * n - int(strict)
     qc = q * A[:, -1]
     qA = A[:, :-1] * q[:, None]
-    up, down, flat = qc > 0, qc < 0, qc == 0
+    # x_d <= R_i // qc_i on an upper facet, -x_d <= R_i // -qc_i on a lower
+    # one; the divisors are read out of arrays, so they keep the dtype
+    neg = -qc
+    upper = [(i, qc[i]) for i in np.flatnonzero(qc > 0)]
+    lower = [(i, neg[i]) for i in np.flatnonzero(qc < 0)]
+    flat = np.flatnonzero(qc == 0)
     # scan s owns the prefixes ends[s-1] <= t < ends[s] of the whole batch
     sizes = [math.prod(int(w) for w in row[:-1]) for row in wid]
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    floor, ceiling = lo[:, -1].min(), hi[:, -1].max()
-    step = max(1, _CHUNK // int(wid[:, -1].max()))
+    # one row per axis, so a chunk gathers the values of its scans with take
+    lo, hi, wid = lo.T.copy(), hi.T.copy(), wid.T.copy()
+    step = max(min_step, _CHUNK // int(wid[-1].max()))
     for start in range(0, int(ends[-1]), step):
         t = np.arange(start, min(start + step, int(ends[-1])))
         s = np.searchsorted(ends, t, side="right")
-        t = (t - starts[s]).astype(dtype)
-        x = np.empty((len(t), d - 1), dtype=dtype)
+        t = (t - starts.take(s)).astype(dtype)
+        # each step writes into an existing array: a fresh chunk-sized array
+        # costs more to fault in than the arithmetic that fills it
+        x = np.empty((d - 1, len(t)), dtype=dtype)
         for j in range(d - 2, -1, -1):
-            x[:, j] = lo[s, j] + t % wid[s, j]
-            t = t // wid[s, j]
-        R = offsets[s] - x @ qA.T
-        first = np.max(-(R[:, down] // -qc[down]), axis=1, initial=floor)
-        last = np.min(R[:, up] // qc[up], axis=1, initial=ceiling)
-        first, last = np.maximum(first, lo[s, -1]), np.minimum(last, hi[s, -1])
-        keep = (first <= last) & (R[:, flat] >= 0).all(axis=1)
-        yield index[s[keep]], x[keep], first[keep], last[keep]
+            w = wid[j].take(s)
+            np.remainder(t, w, out=x[j])
+            x[j] += lo[j].take(s)
+            t //= w
+        R = qA @ x
+        np.subtract(offsets.take(s, axis=1), R, out=R)
+        last, neg_first = hi[-1].take(s), -lo[-1].take(s)
+        for i, c in upper:
+            np.minimum(last, R[i] // c, out=last)
+        for i, c in lower:
+            np.minimum(neg_first, R[i] // c, out=neg_first)
+        first = -neg_first
+        keep = first <= last
+        if len(flat):
+            keep &= (R[flat] >= 0).all(axis=0)
+        yield index[s[keep]], x[:, keep].T, first[keep], last[keep]
 
 
 def _count(batch, normals, nums, dens, strict, dtype) -> list[int]:
     counts = [0] * len(batch)
-    for index, _, first, last in _fibers(batch, normals, nums, dens, strict, dtype):
+    # a count holds prefixes x facets, not box points, so a wide last axis
+    # still gets chunks of at least _CHUNK // 128 prefixes
+    for index, _, first, last in _fibers(batch, normals, nums, dens, strict, dtype, _CHUNK // 128):
         if not len(index):
             continue
         # running totals of fiber lengths, read where each scan's run ends

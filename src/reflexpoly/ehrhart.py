@@ -4,11 +4,15 @@ reciprocity / symmetry criteria built on them.
 The dilation counter L(n) = #(nP meet Z^d) is evaluated by exact scans of
 the polytope's integer form.  The quasi-polynomial is reconstructed per
 residue class r mod T, the lcm of vertex denominators, from the counts at
-the equally spaced nodes r + kT, k = 0..2d, all taken in one batched scan.
-The first d+1 counts give the Newton form by integer finite differences; the
-other d are held out and must equal the Newton form's integer values there.
-The constituents are then reduced to the minimal period, so ``period == 1``
-is a decided property, not a heuristic.
+the equally spaced nodes r + kT, k = 0..2d-1, all taken in one batched scan.
+Every constituent has the leading coefficient vol(P) (McMullen 1978; Beck &
+Robins, Computing the Continuous Discretely, ch. 3), so the top Newton
+coefficient of every residue is the one integer d! T^d vol(P), computed once
+from a triangulation (``polytope.integer_volume``).  The first d counts give
+the other Newton coefficients by integer finite differences; the other d
+are held out and must equal the Newton form's integer values there, which
+checks the volume too.  The constituents are then reduced to the minimal
+period, so ``period == 1`` is a decided property, not a heuristic.
 """
 
 from __future__ import annotations
@@ -19,11 +23,19 @@ from math import comb, factorial, lcm
 
 from . import _poly
 from .errors import InternalInconsistency, PeriodNotOne, ScaleExceeded, ValidationFailed
-from .polytope import Polytope, count_dilations, vertex_denominator_lcm
+from .polytope import (
+    Polytope,
+    count_boxes,
+    count_dilations,
+    dilation_boxes,
+    integer_volume,
+    vertex_denominator_lcm,
+)
 from .rationals import format_rational, parse_rational
 
-# Desk-scale cap on the dilations one reconstruction scans, T(2d+1) - 1: the
-# budget bounds each box, not how many there are.
+# Desk-scale cap on the dilations one reconstruction checks against the
+# budget, T(2d+1) - 1 (it scans 2dT - 1 of them): the budget bounds each box,
+# not how many there are.
 _MAX_DILATIONS = 2**16
 
 
@@ -132,47 +144,53 @@ def ehrhart_quasi_polynomial(p: Polytope, budget: int | None = None) -> QuasiPol
     """Reconstruct the counting quasi-polynomial of p.
 
     For each residue r mod T (T = lcm of vertex coordinate denominators, a
-    period bound) the counts at n = r + kT, k = 0..2d, come from one batched
-    scan over all residues.  The degree-<=d constituent is fixed by the
-    first d+1 of them, and each of the d held-out counts must equal its
+    period bound) the counts at n = r + kT, k = 0..2d-1, come from one
+    batched scan over all residues.  The degree-d constituent is fixed by
+    the first d of them and its leading Newton coefficient, the integer
+    volume d! T^d vol(P), and each of the d held-out counts must equal its
     Newton-form value; any mismatch aborts, since it would mean the kernel
-    counted wrong.  The period is then minimized.  More than _MAX_DILATIONS
-    dilations raise ScaleExceeded before any node is listed.
+    or the volume is wrong.  The period is then minimized.  The boxes of
+    k = 2d are checked against the budget too, node by node in residue
+    order, though never scanned, so a box over budget raises as when all
+    2d + 1 nodes were counted.  More than _MAX_DILATIONS dilations raise
+    ScaleExceeded before any node is listed.
     """
     d = p.dim
     T = vertex_denominator_lcm(p)
-    m = 2 * d + 1  # nodes per residue
-    if T * m - 1 > _MAX_DILATIONS:
+    m = 2 * d  # nodes scanned per residue
+    if T * (m + 1) - 1 > _MAX_DILATIONS:
         raise ScaleExceeded(
             "reconstruction needs more dilations than the desk-scale cap",
-            period=T, dilations=T * m - 1, max_dilations=_MAX_DILATIONS,
+            period=T, dilations=T * (m + 1) - 1, max_dilations=_MAX_DILATIONS,
         )
-    nodes = [r + k * T for r in range(T) for k in range(m)]
-    counts = [1] + count_dilations(p, nodes[1:], budget=budget)  # nodes[0] is n = 0
-    constituents = [_constituent(r, T, d, counts[r * m : r * m + m]) for r in range(T)]
-    qp = QuasiPolynomial.from_constituents(constituents)
-    if qp.degree != d:
-        raise ValidationFailed(
-            "quasi-polynomial degree differs from the ambient dimension",
-            degree=qp.degree,
-            dim=d,
-        )
-    return qp
+    nodes = [r + k * T for r in range(T) for k in range(m + 1)]
+    boxes = dilation_boxes(p, nodes[1:], budget)  # nodes[0] is n = 0
+    # k = 2d is exactly n >= 2dT
+    counts = [1] + count_boxes(p, [box for box in boxes if box[0] < m * T])
+    volume = integer_volume(p)
+    if volume <= 0:
+        raise InternalInconsistency("polytope volume is not positive", volume=volume)
+    # a positive leading coefficient makes every constituent of degree d
+    return QuasiPolynomial.from_constituents(
+        [_constituent(r, T, d, volume, counts[r * m : r * m + m]) for r in range(T)]
+    )
 
 
-def _constituent(r: int, T: int, d: int, ys: list[int]) -> list[Fraction]:
-    """The degree-<=d polynomial through (r + kT, ys[k]) for k <= d, checked
-    against ys[k] for d < k <= 2d.
+def _constituent(r: int, T: int, d: int, top: int, ys: list[int]) -> list[Fraction]:
+    """The degree-d polynomial with top Newton coefficient top through
+    (r + kT, ys[k]) for k < d, checked against ys[k] for d <= k < 2d.
 
-    With Newton coefficients a_j = (forward difference)^j ys[0], the value at
-    node k is sum_j C(k, j) a_j, an integer, and the polynomial in n is
-    sum_j a_j prod_{i<j} (n - r - iT) / (j! T^j), put over d! T^d.
+    With Newton coefficients a_j = (forward difference)^j ys[0] for j < d and
+    a_d = top, the value at node k is sum_j C(k, j) a_j, an integer, and the
+    polynomial in n is sum_j a_j prod_{i<j} (n - r - iT) / (j! T^j), put over
+    d! T^d.
     """
-    newton, row = [], ys[: d + 1]
-    for _ in range(d + 1):
+    newton, row = [], ys[:d]
+    for _ in range(d):
         newton.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]
-    for k in range(d + 1, 2 * d + 1):
+    newton.append(top)
+    for k in range(d, 2 * d):
         got = sum(comb(k, j) * a for j, a in enumerate(newton))
         if got != ys[k]:
             raise ValidationFailed(

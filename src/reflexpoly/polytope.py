@@ -78,13 +78,14 @@ class LatticePointSet:
 
 class _IntegerForm(NamedTuple):
     """A polytope's scan data in integers: facet i is q_i <x, u_i> <= p_i,
-    and on axis j the vertex coordinates span [lo_j / L, hi_j / L], with L
-    the lcm of all vertex-coordinate denominators."""
+    the vertices of LP are the integer points w = L v, and on axis j they
+    span [lo_j, hi_j], with L the lcm of all vertex-coordinate denominators."""
 
     normals: tuple[tuple[int, ...], ...]
     nums: tuple[int, ...]
     dens: tuple[int, ...]
     denominator: int
+    vertices: tuple[tuple[int, ...], ...]
     lo: tuple[int, ...]
     hi: tuple[int, ...]
 
@@ -105,12 +106,14 @@ class Polytope:
         """Built once per polytope; a cached property is not a field, so
         equality, hashing, repr and JSON do not see it."""
         L = math.lcm(*(c.denominator for v in self.vrep for c in v))
-        axes = [[c.numerator * (L // c.denominator) for c in col] for col in zip(*self.vrep)]
+        vertices = tuple(tuple(c.numerator * (L // c.denominator) for c in v) for v in self.vrep)
+        axes = list(zip(*vertices))
         return _IntegerForm(
             normals=tuple(h.normal for h in self.hrep),
             nums=tuple(h.offset.numerator for h in self.hrep),
             dens=tuple(h.offset.denominator for h in self.hrep),
             denominator=L,
+            vertices=vertices,
             lo=tuple(map(min, axes)),
             hi=tuple(map(max, axes)),
         )
@@ -476,6 +479,12 @@ def count_dilations(
     """#(nP meet Z^d) (strict: of its interior) for each n >= 1 of ns, in one
     scan of the integer form.  Every box is checked against the budget, in
     the order of ns, before any is scanned."""
+    return count_boxes(p, dilation_boxes(p, ns, budget), strict)
+
+
+def dilation_boxes(p: Polytope, ns: Sequence[int], budget: int | None = None):
+    """(n, lo, hi) for each n >= 1 of ns, [lo, hi] the integer bounding box of
+    nP, each box checked against the budget in the order of ns."""
     form = p._integer_form
     limit = enumeration_budget(budget)
     batch = []
@@ -483,7 +492,67 @@ def count_dilations(
         lo, hi = form.box(n)
         _check_budget(lo, hi, limit)
         batch.append((n, lo, hi))
+    return batch
+
+
+def count_boxes(p: Polytope, batch, strict: bool = False) -> list[int]:
+    """The count of each (n, lo, hi) of dilation_boxes, in one kernel call."""
+    form = p._integer_form
     return _scan.scan_counts(batch, form.normals, form.nums, form.dens, strict)
+
+
+def integer_volume(p: Polytope) -> int:
+    """d! L^d vol(P), L = vertex_denominator_lcm(p): the normalized volume of
+    LP, whose vertices w = L v are integer points.
+
+    It is the sum of |det(w_j - w_0)| over the simplices of a pulling
+    triangulation (Bueler, Enge & Fukuda 2000; De Loera, Rambau & Santos
+    2010, section 4.3): each face is coned from its first vertex over those
+    of its facets that miss it, down to the edges.  The faces are vertex
+    bitmasks read off the integer form: w is on facet i exactly when
+    q_i <u_i, w> = L p_i, and the facets of a face are its inclusion-maximal
+    proper intersections with the facets of P."""
+    form = p._integer_form
+    L, ws = form.denominator, form.vertices
+    facets = [
+        sum(1 << j for j, w in enumerate(ws) if q * _dot(u, w) == L * b)
+        for u, b, q in zip(form.normals, form.nums, form.dens)
+    ]
+
+    def pulled(face: int, k: int) -> list[tuple[int, ...]]:
+        # the simplices, as vertex indices, of the k-face with these vertices
+        apex = (face & -face).bit_length() - 1
+        if k == 1:  # an edge: its other vertex is its one facet missing apex
+            return [(apex, face.bit_length() - 1)]
+        cuts = list({face & f for f in facets} - {face})
+        return [
+            (apex,) + simplex
+            for cut, keep in zip(cuts, _maximal(cuts))
+            if keep and not cut >> apex & 1
+            for simplex in pulled(cut, k - 1)
+        ]
+
+    total = 0
+    for apex, *rest in pulled((1 << len(ws)) - 1, p.dim):
+        w0 = ws[apex]
+        total += abs(_det([[a - b for a, b in zip(ws[j], w0)] for j in rest]))
+    return total
+
+
+def _det(rows: list[list[int]]) -> int:
+    """The determinant of a nonsingular square integer matrix up to sign, by
+    Bareiss's fraction-free elimination: every division is exact.  A simplex
+    of a triangulation is full-dimensional, so every column has a pivot."""
+    m, prev = rows, 1
+    for k in range(len(m) - 1):
+        pivot = next(i for i in range(k, len(m)) if m[i][k])
+        m[k], m[pivot] = m[pivot], m[k]
+        top = m[k]
+        for row in m[k + 1 :]:
+            head = row[k]
+            row[k + 1 :] = [(x * top[k] - head * y) // prev for x, y in zip(row[k + 1 :], top[k + 1 :])]
+        prev = top[k]
+    return m[-1][-1]
 
 
 def count_in_box(halfspaces, lo, hi, strict: bool = False, budget: int | None = None) -> int:

@@ -2,7 +2,8 @@
 
 Deliberately naive and Fraction-only: these share no code with the package's
 scan backends, hull conversion or reconstruction routines, so agreement is
-meaningful.
+meaningful.  ``unseeded_fit`` takes its counts from the caller; it checks
+the reconstruction's use of the volume, not the counts.
 """
 
 from __future__ import annotations
@@ -55,6 +56,39 @@ def brute_scan(lo, hi, normals, offsets, strict=False) -> list[tuple[int, ...]]:
         if all(v < b if strict else v <= b for v, b in vals):
             found.append(x)
     return found
+
+
+def unseeded_fit(values, d, T):
+    """The quasi-polynomial fit from 2d + 1 nodes per residue, with no volume:
+    values[n] is the count L(n) for 0 <= n < (2d+1)T.  For each residue r
+    mod T the Newton form through the nodes r + kT, k = 0..d, is checked
+    against k = d+1..2d.  Returns each residue's top Newton coefficient (the
+    d-th forward difference) and its constituent as Fraction coefficients,
+    lowest power first."""
+    tops, constituents = [], []
+    for r in range(T):
+        ys = [values[r + k * T] for k in range(2 * d + 1)]
+        newton, row = [], ys[: d + 1]
+        for _ in range(d + 1):
+            newton.append(row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
+        for k in range(d + 1, 2 * d + 1):
+            if sum(math.comb(k, j) * a for j, a in enumerate(newton)) != ys[k]:
+                raise AssertionError(f"held-out count at n = {r + k * T} disagrees")
+        # sum_j a_j C(k, j) with k = (n - r)/T, expanded in powers of n
+        coeffs = [Fraction(0)] * (d + 1)
+        basis = [Fraction(1)]
+        for j, a in enumerate(newton):
+            for i, c in enumerate(basis):
+                coeffs[i] += a * c
+            shift, scale = r + j * T, T * (j + 1)
+            basis = [
+                ((basis[i - 1] if i else 0) - shift * (basis[i] if i < len(basis) else 0)) / scale
+                for i in range(len(basis) + 1)
+            ]
+        tops.append(newton[d])
+        constituents.append(coeffs)
+    return tops, constituents
 
 
 def _order_convex_polygon(points, center=None):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_box, brute_count, euclidean_volume
+from oracles import brute_box, brute_count, euclidean_volume, unseeded_fit
 from reflexpoly import (
     QuasiPolynomial,
     count,
@@ -22,8 +22,8 @@ from reflexpoly import (
     round_down,
     round_up,
 )
-from reflexpoly.ehrhart import vertex_denominator_lcm
-from reflexpoly.polytope import integer_bounding_box
+from reflexpoly.ehrhart import count_up_to, vertex_denominator_lcm
+from reflexpoly.polytope import count_dilations, integer_bounding_box, integer_volume
 from reflexpoly.errors import (
     CollapsedPolytope,
     InternalInconsistency,
@@ -54,6 +54,10 @@ class TestCounts:
             count(unit_square, -1)
         with pytest.raises(ValueError):
             count_interior(unit_square, 0)
+
+    def test_count_up_to_empty_below_zero(self, half_segment):
+        assert count_up_to(half_segment, -1) == []
+        assert count_up_to(half_segment, 0) == [1]
 
     def test_count_sequence(self, half_segment):
         seq = count_sequence(half_segment, 4)
@@ -91,6 +95,11 @@ class TestQuasiPolynomial:
         d, T = 2, q.period
         for n in range(0, 2 * T * (d + 1) + 1):
             assert q.evaluate(n) == count(dual_integral_triangle, n)
+
+    @pytest.mark.parametrize("period, constituents", [(0, ()), (2, ((Fraction(1),),))])
+    def test_period_must_match_the_constituents(self, period, constituents):
+        with pytest.raises(ValueError, match="period must match"):
+            QuasiPolynomial(period=period, constituents=constituents, degree=0)
 
     def test_minimal_period_reduction(self):
         c = (Fraction(1), Fraction(2))
@@ -160,6 +169,16 @@ class TestReciprocity:
         for p in (reflexive_triangle, dual_fano_triangle, dual_integral_triangle, half_segment, unit_square):
             assert reciprocity_check(p, 5)
 
+    @pytest.mark.parametrize("bad, holds", [(1, False), (3, False), (4, True)])
+    def test_samples_exactly_1_to_n_max(self, reflexive_triangle, monkeypatch, bad, holds):
+        # an interior count off by one at n = bad fails the check exactly
+        # when 1 <= bad <= n_max = 3
+        import reflexpoly.ehrhart as eh
+
+        real = eh.count_interior
+        monkeypatch.setattr(eh, "count_interior", lambda p, n, budget=None: real(p, n, budget) + (n == bad))
+        assert reciprocity_check(reflexive_triangle, 3) == holds
+
     def test_square_values(self, unit_square):
         q = ehrhart_quasi_polynomial(unit_square)
         assert [evaluate(q, -n) for n in (1, 2, 3)] == [0, 1, 4]
@@ -175,6 +194,34 @@ class TestHibiSymmetry:
 
     def test_unit_square_fails(self, unit_square):
         assert not hibi_symmetry_check(unit_square, 5)
+
+    def test_unit_square_fails_at_zero(self, unit_square):
+        # L(0) = 1, but the square has no interior lattice point
+        assert not hibi_symmetry_check(unit_square, 0)
+
+    @pytest.mark.parametrize("bad, raises", [(3, True), (4, False)])
+    def test_count_form_samples_0_to_n_max(self, reflexive_triangle, monkeypatch, bad, raises):
+        # with n_max = 2 the count form reads count_interior at n + 1 = 1..3
+        import reflexpoly.ehrhart as eh
+
+        real = eh.count_interior
+        monkeypatch.setattr(eh, "count_interior", lambda p, n, budget=None: real(p, n, budget) + (n == bad))
+        if raises:
+            with pytest.raises(InternalInconsistency, match="symmetry test disagree"):
+                hibi_symmetry_check(reflexive_triangle, 2)
+        else:
+            assert hibi_symmetry_check(reflexive_triangle, 2)
+
+    @pytest.mark.parametrize("bad, raises", [(2, True), (3, False)])
+    def test_qp_form_samples_0_to_n_max(self, reflexive_triangle, monkeypatch, bad, raises):
+        # with n_max = 2 the quasi-polynomial form reads q at 0..2 and -1..-3
+        evaluate = QuasiPolynomial.evaluate
+        monkeypatch.setattr(QuasiPolynomial, "evaluate", lambda self, n: evaluate(self, n) + (n == bad))
+        if raises:
+            with pytest.raises(InternalInconsistency, match="symmetry test disagree"):
+                hibi_symmetry_check(reflexive_triangle, 2)
+        else:
+            assert hibi_symmetry_check(reflexive_triangle, 2)
 
     def test_translated_triangle(self, reflexive_triangle):
         from reflexpoly import translate
@@ -208,6 +255,20 @@ class TestHilbertSymmetry:
         assert not hilbert_symmetry_check(q, 2, 0)
         assert not hilbert_symmetry_check(q, 2, 1)
 
+    def test_sample_at_the_degree_can_miss_asymmetry(self):
+        # q = x^2 + x: q(0) = -q(-1) = 0, yet q(x) = q(-x-1), not -q(-x-1);
+        # one sampled pair of zeros does not outnumber the degree 2
+        q = QuasiPolynomial.from_constituents([(Fraction(0), Fraction(1), Fraction(1))])
+        assert not hilbert_symmetry_check(q, 1, 0)
+
+    def test_sampled_pairs_start_at_zero(self):
+        # q - q(-x-1) = (x + 1/2)(x + 2)(x - 1) vanishes at n = 1 but not at
+        # n = 0, so the values disagree with symmetry, as the identity does
+        q = QuasiPolynomial.from_constituents(
+            [(Fraction(-1, 2), Fraction(-3, 4), Fraction(3, 4), Fraction(1, 2))]
+        )
+        assert not hilbert_symmetry_check(q, 2, 1)
+
     def test_corrupted_value_disagrees_with_identity(self, monkeypatch):
         q = QuasiPolynomial.from_constituents([(Fraction(1), Fraction(6), Fraction(12), Fraction(8))])
         evaluate = QuasiPolynomial.evaluate
@@ -225,6 +286,14 @@ class TestHilbertSymmetry:
         with pytest.raises(InternalInconsistency, match="symmetry test disagree") as exc:
             hilbert_symmetry_check(q, 2, 5)
         assert exc.value.context == {"values_ok": True, "identity_ok": False}
+
+
+    def test_corrupted_values_at_the_smallest_deciding_sample(self, monkeypatch):
+        # 2(n_max + 1) = 4 sampled zeros already exceed the degree 2 at n_max = 1
+        q = QuasiPolynomial.from_constituents([(Fraction(1), Fraction(2), Fraction(1))])
+        monkeypatch.setattr(QuasiPolynomial, "evaluate", lambda self, n: Fraction(0))
+        with pytest.raises(InternalInconsistency, match="symmetry test disagree"):
+            hilbert_symmetry_check(q, 2, 1)
 
 
 def rounded_down_count(p, n):
@@ -268,21 +337,29 @@ def test_validation_guard_aborts_on_bad_counts(reflexive_triangle, monkeypatch):
     # return rather than hand back a quasi-polynomial that disagrees
     import reflexpoly.ehrhart as eh
 
-    real_counts = eh.count_dilations
+    real_counts = eh.count_boxes
 
-    def corrupted(p, ns, strict=False, budget=None):
-        values = real_counts(p, ns, strict, budget)
-        # n=4 is a validation sample (d=2, T=1)
-        return [c + 1 if n == 4 else c for n, c in zip(ns, values)]
+    def corrupted(p, batch, strict=False):
+        values = real_counts(p, batch, strict)
+        # n=3 is the last validation sample (d=2, T=1); n=4 is not scanned
+        return [c + 1 if n == 3 else c for (n, _, _), c in zip(batch, values)]
 
-    monkeypatch.setattr(eh, "count_dilations", corrupted)
+    monkeypatch.setattr(eh, "count_boxes", corrupted)
     with pytest.raises(ValidationFailed) as info:
         eh.ehrhart_quasi_polynomial(reflexive_triangle)
     assert info.value.payload()["context"] == {
         "residue": 0,
-        "n": 4,
-        "interpolated": "61",
-        "counted": 62,
+        "n": 3,
+        "interpolated": "37",
+        "counted": 38,
+    }
+
+
+def _held_out_failure(r, n, interpolated, counted):
+    return {
+        "error": "ValidationFailed",
+        "message": "interpolant disagrees with a held-out count",
+        "context": {"residue": r, "n": n, "interpolated": str(interpolated), "counted": counted},
     }
 
 
@@ -290,26 +367,23 @@ def test_validation_guard_aborts_on_bad_counts(reflexive_triangle, monkeypatch):
     "d, T, r", [(1, 1, 0), (1, 3, 2), (2, 1, 0), (2, 2, 1), (3, 1, 0), (3, 2, 1)]
 )
 def test_every_held_out_node_is_checked(d, T, r):
-    # ys[k] is the value at node r + kT of a degree-d polynomial in k, so the
-    # Newton form through ys[0..d] matches every held-out ys[d+1..2d]
+    # ys[k] is the value at node r + kT of a degree-d polynomial in k with
+    # top Newton coefficient (d + 2) d!, so the Newton form through ys[0..d-1]
+    # and that coefficient matches every held-out ys[d..2d-1]
     from reflexpoly.ehrhart import _constituent
 
-    ys = [sum((j + 2) * k**j for j in range(d + 1)) for k in range(2 * d + 1)]
-    _constituent(r, T, d, ys)
-    for k in range(d + 1, 2 * d + 1):
+    ys = [sum((j + 2) * k**j for j in range(d + 1)) for k in range(2 * d)]
+    top = (d + 2) * math.factorial(d)
+    _constituent(r, T, d, top, ys)
+    for k in range(d, 2 * d):
         bad = ys[:k] + [ys[k] + 1] + ys[k + 1 :]
         with pytest.raises(ValidationFailed) as info:
-            _constituent(r, T, d, bad)
-        assert info.value.payload() == {
-            "error": "ValidationFailed",
-            "message": "interpolant disagrees with a held-out count",
-            "context": {
-                "residue": r,
-                "n": r + k * T,
-                "interpolated": str(ys[k]),
-                "counted": ys[k] + 1,
-            },
-        }
+            _constituent(r, T, d, top, bad)
+        assert info.value.payload() == _held_out_failure(r, r + k * T, ys[k], ys[k] + 1)
+    # a wrong volume shifts the value at node d by the difference
+    with pytest.raises(ValidationFailed) as info:
+        _constituent(r, T, d, top + 1, ys)
+    assert info.value.payload() == _held_out_failure(r, r + d * T, ys[d] + 1, ys[d])
 
 
 @pytest.mark.parametrize(
@@ -338,6 +412,28 @@ def test_scale_exceeded_names_the_first_box_over_budget(points, budget, box):
         "message": "bounding box exceeds enumeration budget",
         "context": {"box": box, "budget": budget},
     }
+
+
+def test_budget_checks_the_unscanned_node(half_segment):
+    # T = 2, d = 1: the boxes of n = 1..6 hold 1, 2, 2, 3, 3, 4 points; n = 4
+    # and 5 (k = 2d) are checked but not scanned, and n = 6 is neither
+    assert ehrhart_quasi_polynomial(half_segment, budget=3) == ehrhart_quasi_polynomial(half_segment)
+    with pytest.raises(ScaleExceeded) as info:
+        ehrhart_quasi_polynomial(half_segment, budget=2)
+    assert info.value.context == {"box": 3, "budget": 2}
+
+
+def test_dilation_cap_counts_the_checked_nodes(monkeypatch):
+    # T = 5, d = 1: 3T - 1 = 14 dilations are checked, 2dT - 1 = 9 scanned
+    import reflexpoly.ehrhart as eh
+
+    p = from_vrep([(0,), (Fraction(1, 5),)])
+    monkeypatch.setattr(eh, "_MAX_DILATIONS", 14)
+    assert eh.ehrhart_quasi_polynomial(p).period == 5
+    monkeypatch.setattr(eh, "_MAX_DILATIONS", 13)
+    with pytest.raises(ScaleExceeded) as info:
+        eh.ehrhart_quasi_polynomial(p)
+    assert info.value.context == {"period": 5, "dilations": 14, "max_dilations": 13}
 
 
 def test_oracle_agreement_on_dilations(dual_fano_triangle, half_segment):
@@ -420,6 +516,39 @@ def test_quasi_polynomial_matches_brute_force(pts):
     assert q.evaluate(n) == brute_count(p, n)
     for n in (1, 2):
         assert (-1) ** d * q.evaluate(-n) == brute_count(p, n, strict=True)
+
+
+volume_clouds = st.one_of(
+    oracle_clouds,
+    _cloud(st.builds(Fraction, st.integers(0, 2), st.just(2)), 4, (5, 6)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(volume_clouds)
+def test_volume_seed_matches_the_unseeded_fit(pts):
+    """integer_volume is the top Newton coefficient of every residue of the
+    fit from 2d + 1 nodes, which takes no volume, and the two fits give the
+    same quasi-polynomial."""
+    try:
+        p = from_vrep(pts)
+    except LowerDimensional:
+        return
+    d, T = p.dim, vertex_denominator_lcm(p)
+    values = [1] + count_dilations(p, range(1, (2 * d + 1) * T))
+    tops, constituents = unseeded_fit(values, d, T)
+    assert tops == [integer_volume(p)] * T
+    assert ehrhart_quasi_polynomial(p) == QuasiPolynomial.from_constituents(constituents)
+
+
+def test_non_positive_volume_aborts(reflexive_triangle, monkeypatch):
+    import reflexpoly.ehrhart as eh
+
+    for volume in (0, -18):
+        monkeypatch.setattr(eh, "integer_volume", lambda p: volume)
+        with pytest.raises(InternalInconsistency, match="volume is not positive") as info:
+            eh.ehrhart_quasi_polynomial(reflexive_triangle)
+        assert info.value.context == {"volume": volume}
 
 
 @pytest.mark.parametrize(

@@ -269,6 +269,31 @@ def test_chunks_bound_box_points(lo, hi):
     assert max(chunks) <= step
 
 
+def test_count_chunks_have_a_prefix_floor(monkeypatch):
+    # a count holds prefixes x facets, not box points: past a last-axis
+    # width of 128 its chunks keep _CHUNK // 128 prefixes, where a collect's
+    # would shrink to _CHUNK // w
+    chunks = []
+    original = _scan._fibers
+
+    def recorded(*args):
+        for chunk in original(*args):
+            chunks.append(len(chunk[1]))
+            yield chunk
+
+    monkeypatch.setattr(_scan, "_fibers", recorded)
+    floor = _scan._CHUNK // 128
+    for w, prefixes in ((2**17, floor + 5), (1000, 3 * floor), (129, floor + 1)):
+        chunks.clear()
+        batch = [(1, (0, 0), (prefixes - 1, w - 1))]
+        assert _scan.scan_counts(batch, (), (), ()) == [prefixes * w]
+        assert chunks == [floor] * (prefixes // floor) + [prefixes % floor] * (prefixes % floor > 0)
+    # below that width the box-point cap gives more prefixes than the floor
+    chunks.clear()
+    assert _scan.scan_counts([(1, (0, 0), (2999, 63))], (), (), ()) == [3000 * 64]
+    assert chunks == [_scan._CHUNK // 64, 3000 - _scan._CHUNK // 64]
+
+
 def test_collect_width_reads_its_own_offsets(monkeypatch):
     # a collect's guard sees p_i itself: 2**62 - 1 runs at int64, and
     # 2**63, which no int64 holds, at python width

@@ -142,8 +142,8 @@ class TestWorkCounts:
         T = vertex_denominator_lcm(p)
         ehrhart_quasi_polynomial(p)
         assert len(kernel_batches) == 1
-        # every node r + kT, k = 0..2d, but n = 0
-        assert len(kernel_batches[0]) == T * (2 * p.dim + 1) - 1
+        # every node r + kT, k = 0..2d-1, but n = 0
+        assert len(kernel_batches[0]) == 2 * p.dim * T - 1
         assert dilate_calls == []
 
     @pytest.mark.parametrize("name", GATE)
@@ -184,7 +184,7 @@ class TestWorkCounts:
         assert cli_main(argv) == 0
         assert json.loads(capsys.readouterr().out)["counts"] == [1, 7, 19, 37, 61, 91]
         # one reconstruction batch, then one for n = 1..5
-        assert [len(b) for b in kernel_batches] == [4, 5]
+        assert [len(b) for b in kernel_batches] == [3, 5]
         assert cli_main(argv[:3] + ["--nmax", "8", "--budget", "200"]) == 1
         assert json.loads(capsys.readouterr().err) == {
             "error": "ScaleExceeded",
