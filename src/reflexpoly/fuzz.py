@@ -218,7 +218,11 @@ def test_conjecture_dualfano(cfg: FuzzConfig) -> FuzzReport:
             if stream % 2 == 0
             else random_polytope(cfg, stream)
         )
-        interior = lattice_points(poly, strict=True, budget=cfg.budget)
+        try:
+            interior = lattice_points(poly, strict=True, budget=cfg.budget)
+        except ScaleExceeded as exc:
+            report.skipped.append(_skip_entry(stream, poly, exc))
+            continue
         anchor, ks, dfano, _ = _anchor_pass(poly, interior)
         di = anchor is not None
         if dfano and not di:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -53,12 +55,41 @@ def test_root_closure_stops_on_an_infinite_type(monkeypatch):
     """The affine A1 Cartan matrix has infinitely many positive roots; the
     closure raises as soon as it holds more than the expected count."""
     affine = ((2, -2), (-2, 2))
-    monkeypatch.setattr(flag, "_cartan_and_norms", lambda label, rank: (affine, [2, 2], affine))
+    monkeypatch.setattr(flag, "_cartan", lambda label, rank: affine)
     start = time.perf_counter()
     with pytest.raises(InternalInconsistency, match="positive root count mismatch") as exc:
         build_root_system("A", 2)
     assert time.perf_counter() - start < 2.0
     assert exc.value.context == {"got": 4, "expected": 3}
+
+
+SUPPORTED = [
+    (label, rank) for label, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+    for rank in range(low, 17)
+] + [("G2", 2)]
+
+# sha256 of [label, rank, cartan, positive_roots, coroots] for every
+# supported system, as compact JSON; any change to a root or coroot table
+# shows here
+ROOT_TABLES_SHA256 = "48f14724f9c34a09924092e26b6a9cce3002c315bc37774c6b9fbc243313fee4"
+
+
+def test_root_tables_pinned_for_every_supported_system():
+    assert len(SUPPORTED) == 61
+    tables = []
+    for label, rank in SUPPORTED:
+        rs = build_root_system(label, rank)
+        for beta, cor in zip(rs.positive_roots, rs.coroots):
+            pairing = sum(
+                beta[j] * cor[i] * rs.cartan[i][j] for i in range(rank) for j in range(rank)
+            )
+            assert pairing == 2, (label, rank, beta)
+        for i in range(rank):
+            unit = tuple(int(j == i) for j in range(rank))
+            assert rs.coroots[rs.positive_roots.index(unit)] == unit
+        tables.append([label, rank, rs.cartan, rs.positive_roots, rs.coroots])
+    text = json.dumps(tables, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == ROOT_TABLES_SHA256
 
 
 def test_rho_pairs_to_one_on_simples():

@@ -102,12 +102,22 @@ class TestConjectureRuns:
             assert reverify_counterexample("dualfano", entry)
 
     def test_budget_errors_logged_not_dropped(self):
-        cfg = FuzzConfig(dim=2, samples=6, seed=9, max_coordinate=4,
-                         max_denominator=12, budget=50)
-        report = run_quasilattice(cfg)
-        assert report.instances_tested + len(report.skipped) == cfg.samples
-        assert report.skipped, "tiny budget must force logged skips"
-        assert all(e["error"] == "ScaleExceeded" for e in report.skipped)
+        # a stream over budget before its checks is skipped, not tested; only
+        # a stream that met the hypothesis can be tested and then skipped
+        cases = [
+            (run_quasilattice, FuzzConfig(dim=2, samples=6, seed=9, max_coordinate=4,
+                                          max_denominator=12, budget=50), 0),
+            # 10 interior collects are over budget; the 20 dual-integral
+            # streams pass their checks, then their reconstructions are
+            (run_dualfano, FuzzConfig(dim=2, samples=40, seed=3, budget=30), 20),
+        ]
+        for run, cfg, late in cases:
+            report = run(cfg)
+            assert report.instances_tested + len(report.skipped) == cfg.samples + late
+            assert late <= report.hypothesis_held
+            assert len({e["stream"] for e in report.skipped}) == len(report.skipped)
+            assert report.skipped, "tiny budget must force logged skips"
+            assert all(e["error"] == "ScaleExceeded" for e in report.skipped)
 
     def test_report_file_round_trip(self, tmp_path):
         report = run_dualfano(SMALL)
